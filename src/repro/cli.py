@@ -711,12 +711,14 @@ def _serve(args) -> int:
         print("--workers must be >= 0", file=sys.stderr)
         return 2
 
+    from .service import make_server
+
     cache = None
     engine = None
     router = None
     if args.workers == 0:
         from .lod import ProgressiveEngine
-        from .service import LayoutCache, LayoutEngine, make_server
+        from .service import LayoutCache, LayoutEngine
 
         cache = LayoutCache(
             max_bytes=int(args.cache_mb * 1024 * 1024),
@@ -734,12 +736,9 @@ def _serve(args) -> int:
             ),
             lod=args.lod,
         )
-        server = make_server(
-            engine, host=args.host, port=args.port, verbose=args.verbose
-        )
         mode = f"single-process, threads={args.threads}"
     else:
-        from .cluster import ClusterRouter, make_cluster_server
+        from .cluster import ClusterRouter
 
         router = ClusterRouter(
             args.workers,
@@ -760,13 +759,16 @@ def _serve(args) -> int:
             file=sys.stderr,
         )
         router.start()
-        server = make_cluster_server(
-            router, host=args.host, port=args.port, verbose=args.verbose
-        )
         mode = (
             f"{args.workers} worker processes, threads={args.threads}/worker"
             + (f", placement={args.placement}" if args.placement != "hash" else "")
         )
+    server = make_server(
+        engine if router is None else router,
+        host=args.host,
+        port=args.port,
+        verbose=args.verbose,
+    )
     host, port = server.address
     print(
         f"parhde serve: listening on http://{host}:{port}"

@@ -19,8 +19,9 @@ engine's pool holds.  This package is the horizontal layer above it:
   breakers, automatic worker restart with live resharding (in-flight
   requests retry on the ring successor), aggregated ``/stats``, and
   whole-cluster graceful drain fanning out the per-engine drain;
-* :mod:`~repro.cluster.frontend` — the HTTP face, wire-compatible with
-  the in-process endpoint;
+* the HTTP face is the in-process endpoint itself:
+  :func:`repro.service.make_server` accepts a started router, so both
+  modes share one handler and one wire contract;
 * :mod:`~repro.cluster.policy` — analytic routing-policy comparison
   (consistent-hash vs size-balanced) priced by the machine model's new
   distributed dimension (:func:`repro.parallel.machine.shard_times`).
@@ -29,7 +30,6 @@ See ``docs/cluster.md`` for the architecture diagram, ring semantics,
 failure modes and tuning guidance.
 """
 
-from .frontend import ClusterServer, make_cluster_server
 from .policy import balanced_assignment, compare_policies, hash_assignment
 from .protocol import MAX_FRAME, ProtocolError, recv_msg, send_msg
 from .ring import HashRing, graph_key
@@ -39,7 +39,6 @@ from .worker import WorkerConfig, worker_main
 __all__ = [
     "MAX_FRAME",
     "ClusterRouter",
-    "ClusterServer",
     "HashRing",
     "ProtocolError",
     "RemoteError",
@@ -49,7 +48,6 @@ __all__ = [
     "compare_policies",
     "graph_key",
     "hash_assignment",
-    "make_cluster_server",
     "recv_msg",
     "send_msg",
     "worker_main",

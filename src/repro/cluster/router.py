@@ -59,6 +59,7 @@ from ..service.engine import (
     ValidationFailed,
 )
 from ..service.fingerprint import canonical_params
+from ..service.singleflight import SingleFlight
 from .policy import LivePlacement
 from .protocol import ProtocolError, recv_msg, send_msg
 from .ring import HashRing, graph_key
@@ -99,17 +100,6 @@ def _remote_error(reply: dict) -> ServiceError:
     if cls is not None:
         return cls(message)
     return RemoteError(code, message, int(reply.get("status", 500)))
-
-
-class _Flight:
-    """One in-flight forwarded request; followers wait on the leader."""
-
-    __slots__ = ("event", "result", "error")
-
-    def __init__(self):
-        self.event = threading.Event()
-        self.result: dict | None = None
-        self.error: BaseException | None = None
 
 
 class _Worker:
@@ -305,8 +295,7 @@ class ClusterRouter:
         self._ring = HashRing(vnodes)
         self._placement = LivePlacement() if placement == "lpt" else None
         self._lock = threading.Lock()  # guards ring + worker state flips
-        self._flights: dict[str, _Flight] = {}
-        self._flights_lock = threading.Lock()
+        self._flights = SingleFlight()
         self._draining = False
         self._closed = False
         self._wake = threading.Event()
@@ -597,28 +586,17 @@ class ClusterRouter:
         include_coords = bool(doc.get("include_coords", True))
         key = self._coalesce_key(doc)
 
-        with self._flights_lock:
-            flight = self._flights.get(key)
-            leader = flight is None
-            if leader:
-                flight = self._flights[key] = _Flight()
-        assert flight is not None
-
+        flight, leader = self._flights.join(key)
         if leader:
             try:
                 body = dict(doc)
                 body["include_coords"] = True
-                flight.result = self._forward(
-                    "layout", body, self._route_key(doc)
-                )
+                result = self._forward("layout", body, self._route_key(doc))
             except BaseException as exc:
-                flight.error = exc
+                self._flights.finish(key, error=exc)
                 raise
-            finally:
-                with self._flights_lock:
-                    self._flights.pop(key, None)
-                flight.event.set()
-            payload = dict(flight.result)
+            self._flights.finish(key, result)
+            payload = dict(result)
             if self._placement is not None:
                 self._placement.observe(
                     self._route_key(doc),
@@ -627,17 +605,16 @@ class ClusterRouter:
         else:
             self.telemetry.inc("router.coalesced")
             budget = float(doc.get("timeout") or self.timeout) + 5.0
-            if not flight.event.wait(budget):
+            if not SingleFlight.wait(flight, budget):
                 raise RequestTimeout(
                     f"coalesced layout not ready within {budget:.1f}s"
                 )
-            if flight.error is not None:
-                err = flight.error
+            err = flight.exception()
+            if err is not None:
                 raise err if isinstance(err, ServiceError) else ServiceError(
                     f"coalesced layout failed: {err}"
                 )
-            assert flight.result is not None
-            payload = dict(flight.result)
+            payload = dict(flight.result())
             payload["status"] = "coalesced"
         if not include_coords:
             payload.pop("coords", None)
@@ -725,6 +702,17 @@ class ClusterRouter:
             "aggregate": _aggregate(workers, snap),
             "draining": self._draining,
         }
+
+    def stats_text(self) -> str:
+        """``GET /stats?format=text``: router telemetry + cluster rollups."""
+        stats = self.stats()
+        return self.telemetry.render_text(
+            {
+                "ring": stats["ring"],
+                "aggregate counters": stats["aggregate"]["counters"],
+                "aggregate cache": stats["aggregate"]["cache"],
+            }
+        )
 
     # -- drain -------------------------------------------------------------
     def drain(self, timeout: float = 10.0) -> bool:

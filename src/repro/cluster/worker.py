@@ -28,9 +28,9 @@ Protocol operations (request ``{"op": ...}`` -> response
     Liveness heartbeat; echoes pid, inflight count and draining flag.
 ``layout`` / ``update``
     The serving API, same body dialect as ``POST /layout`` /
-    ``POST /update`` (parsed by the shared
-    :func:`repro.service.http.parse_layout_doc` /
-    :func:`~repro.service.http.parse_update_doc`).
+    ``POST /update``, answered by the same
+    :class:`repro.service.http.EngineBackend` the in-process HTTP
+    handler uses.
 ``stats``
     The engine's ``stats()`` snapshot plus worker identity.
 ``drain``
@@ -48,29 +48,20 @@ Protocol operations (request ``{"op": ...}`` -> response
 from __future__ import annotations
 
 import contextlib
-import logging
 import os
 import signal
 import socket
 import threading
 import time
-import uuid
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
 
 from ..resilience import chaos
-from ..service import LayoutCache, LayoutEngine, ServiceError
-from ..service.http import (
-    layout_payload,
-    parse_layout_doc,
-    parse_update_doc,
-    update_payload,
-)
+from ..service import LayoutCache, LayoutEngine
+from ..service.http import EngineBackend, error_response
 from .protocol import ProtocolError, recv_msg, send_msg
 
 __all__ = ["WorkerConfig", "worker_main"]
-
-logger = logging.getLogger("repro.cluster.worker")
 
 
 @dataclass(frozen=True)
@@ -144,6 +135,7 @@ class _WorkerServer:
     def __init__(self, config: WorkerConfig):
         self.config = config
         self.engine = _build_engine(config)
+        self.backend = EngineBackend(self.engine)
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((config.host, 0))
@@ -180,23 +172,18 @@ class _WorkerServer:
                 "inflight": self.engine.inflight,
                 "draining": self.engine.draining,
             }
-        if op == "layout":
+        if op in ("layout", "update"):
             chaos.failpoint("cluster.worker.request")
-            request, include_coords = parse_layout_doc(req.get("body") or {})
-            response = self.engine.submit(request)
-            return {"ok": True, **layout_payload(response, include_coords)}
-        if op == "update":
-            chaos.failpoint("cluster.worker.request")
-            request = parse_update_doc(req.get("body") or {})
-            response = self.engine.update(request)
-            return {"ok": True, **update_payload(response)}
+            backend = self.backend
+            serve = backend.layout if op == "layout" else backend.update
+            return {"ok": True, **serve(req.get("body") or {})}
         if op == "stats":
-            snap = self.engine.stats()
+            snap = self.backend.stats()
             snap["worker_id"] = self.config.worker_id
             snap["pid"] = os.getpid()
             return {"ok": True, "stats": snap}
         if op == "drain":
-            clean = self.engine.drain(float(req.get("timeout", 10.0)))
+            clean = self.backend.drain(float(req.get("timeout", 10.0)))
             return {"ok": True, "drained": clean}
         if op == "chaos":
             spec = dict(req.get("spec") or {})
@@ -213,26 +200,10 @@ class _WorkerServer:
         raise ValueError(f"unknown op {op!r}")
 
     def _error_envelope(self, exc: BaseException) -> dict:
-        if isinstance(exc, ServiceError) and type(exc) is not ServiceError:
-            return {
-                "ok": False,
-                "error": exc.code,
-                "message": str(exc),
-                "status": exc.http_status,
-            }
-        # Bare ServiceError wrappers and unexpected exceptions may carry
-        # internals in their text: same discipline as the HTTP layer —
-        # log the detail, return an opaque id.
-        error_id = uuid.uuid4().hex[:12]
-        logger.exception("worker internal error %s: %s", error_id, exc)
-        self.engine.telemetry.inc("http.internal_errors")
-        return {
-            "ok": False,
-            "error": "internal",
-            "message": f"internal worker error (id {error_id})",
-            "status": 500,
-            "error_id": error_id,
-        }
+        status, body = error_response(
+            exc, self.engine.telemetry, f"worker {self.config.worker_id}"
+        )
+        return {"ok": False, "status": status, **body}
 
     def _serve_connection(self, conn: socket.socket) -> None:
         with conn:
@@ -243,15 +214,6 @@ class _WorkerServer:
                     return  # router hung up / died; just drop the line
                 try:
                     reply = self._handle(req)
-                except (TypeError, ValueError) as exc:
-                    reply = {
-                        "ok": False,
-                        "error": "bad_request",
-                        "message": str(exc),
-                        "status": 400,
-                    }
-                except ServiceError as exc:
-                    reply = self._error_envelope(exc)
                 except Exception as exc:  # noqa: BLE001 — keep serving
                     reply = self._error_envelope(exc)
                 try:

@@ -24,11 +24,6 @@ from .pool import (
     default_threads,
     split_range,
 )
-from .threaded_kernels import (
-    threaded_dortho_sweep,
-    threaded_laplacian_spmm,
-    threaded_spmm,
-)
 from .sensitivity import (
     SensitivityRow,
     format_sensitivity,
@@ -61,9 +56,6 @@ __all__ = [
     "TaskPool",
     "default_threads",
     "split_range",
-    "threaded_spmm",
-    "threaded_laplacian_spmm",
-    "threaded_dortho_sweep",
     "Breakdown",
     "breakdown",
     "scaling_table",

@@ -52,6 +52,7 @@ from ..validate import (
 )
 from .cache import LayoutCache
 from .fingerprint import canonical_params, graph_digest, layout_fingerprint
+from .singleflight import SingleFlight
 from .telemetry import Telemetry
 
 logger = logging.getLogger("repro.service.engine")
@@ -314,17 +315,6 @@ class LayoutResponse:
         return self.result.quality_tier
 
 
-class _Flight:
-    """In-flight computation shared by the leader and its followers."""
-
-    __slots__ = ("event", "result", "error")
-
-    def __init__(self):
-        self.event = threading.Event()
-        self.result: LayoutResult | None = None
-        self.error: BaseException | None = None
-
-
 class _GraphState:
     """A named graph the engine serves, now mutable via ``/update``.
 
@@ -454,8 +444,7 @@ class LayoutEngine:
             lambda name, scale, seed: datasets.load(name, scale=scale, seed=seed)
         )
         self._pool = TaskPool(workers, queue_limit=queue_limit)
-        self._flights: dict[str, _Flight] = {}
-        self._flights_lock = threading.Lock()
+        self._flights = SingleFlight()
         self._graphs: dict[tuple[str, str, int], _GraphState] = {}
         self._graphs_lock = threading.Lock()
         # Warm bases for constrained relayouts: a cold constrained layout
@@ -491,8 +480,9 @@ class LayoutEngine:
     def drain(self, timeout: float = 10.0) -> bool:
         """Stop admitting requests and wait for in-flight work to finish.
 
-        New :meth:`submit` calls fail with :class:`Overloaded` from the
-        moment this is called (the HTTP layer maps that to 503).
+        New :meth:`submit` and :meth:`update` calls fail with
+        :class:`Overloaded` from the moment this is called (the HTTP
+        layer maps that to 503).
         Returns ``True`` when every in-flight computation completed
         within ``timeout`` seconds; ``False`` means work was abandoned
         (the pool's daemon threads die with the process).
@@ -516,8 +506,7 @@ class LayoutEngine:
 
     @property
     def inflight(self) -> int:
-        with self._flights_lock:
-            return len(self._flights)
+        return len(self._flights)
 
     def stats(self) -> dict:
         """Combined telemetry + cache + pool snapshot (``GET /stats``)."""
@@ -578,6 +567,8 @@ class LayoutEngine:
         t0 = time.perf_counter()
         if not self._wal_replaying:
             self.telemetry.inc("updates")
+        if self._draining:
+            raise Overloaded("engine is draining; not accepting new requests")
         if isinstance(request.graph, CSRGraph):
             raise BadRequest(
                 "updates address named graphs only; in-memory graphs are"
@@ -1291,13 +1282,7 @@ class LayoutEngine:
                 )
 
         # Single-flight: first thread in becomes the leader.
-        with self._flights_lock:
-            flight = self._flights.get(fingerprint)
-            leader = flight is None
-            if leader:
-                flight = self._flights[fingerprint] = _Flight()
-        assert flight is not None
-
+        flight, leader = self._flights.join(fingerprint)
         if leader:
             try:
                 deadline_at = (
@@ -1314,10 +1299,7 @@ class LayoutEngine:
                     warm,
                 )
             except PoolSaturated as exc:
-                with self._flights_lock:
-                    self._flights.pop(fingerprint, None)
-                flight.error = Overloaded(str(exc))
-                flight.event.set()
+                self._flights.finish(fingerprint, error=Overloaded(str(exc)))
                 self.telemetry.inc("rejected")
                 raise Overloaded(
                     f"engine overloaded ({self._pool.outstanding} computations"
@@ -1325,44 +1307,37 @@ class LayoutEngine:
                     " retry later"
                 ) from exc
             future.add_done_callback(
-                lambda fut: self._finish_flight(
-                    fingerprint, flight, fut, breaker_key
-                )
+                lambda fut: self._finish_flight(fingerprint, fut, breaker_key)
             )
         else:
             self.telemetry.inc("coalesced")
 
         remaining = timeout - (time.perf_counter() - t0)
-        if remaining <= 0 or not flight.event.wait(remaining):
+        if remaining <= 0 or not SingleFlight.wait(flight, remaining):
             self.telemetry.inc("timeouts")
             raise RequestTimeout(
                 f"layout not ready within {timeout:.3f}s"
                 " (computation continues; an identical retry may hit the cache)"
             )
-        if flight.error is not None:
-            err = flight.error
+        err = flight.exception()
+        if err is not None:
             if isinstance(err, ServiceError):
                 raise err
             raise ServiceError(f"layout computation failed: {err}") from err
-        assert flight.result is not None
-        return respond(flight.result, "computed" if leader else "coalesced")
+        return respond(flight.result(), "computed" if leader else "coalesced")
 
     def _finish_flight(
-        self,
-        fingerprint: str,
-        flight: _Flight,
-        future,
-        breaker_key: str | None = None,
+        self, fingerprint: str, future, breaker_key: str | None = None
     ) -> None:
+        result = error = None
         try:
             result = future.result()
         except BaseException as exc:  # noqa: BLE001 — reported to waiters
             self.telemetry.inc("compute_errors")
-            flight.error = exc
+            error = exc
             if breaker_key is not None and self._breakers is not None:
                 self._breakers.record(breaker_key, False)
         else:
-            flight.result = result
             tier = result.quality_tier
             if breaker_key is not None and self._breakers is not None:
                 # A degraded answer means the full pipeline did not work
@@ -1379,6 +1354,4 @@ class LayoutEngine:
             else:
                 self.telemetry.inc("uncached_degraded")
         finally:
-            with self._flights_lock:
-                self._flights.pop(fingerprint, None)
-            flight.event.set()
+            self._flights.finish(fingerprint, result, error)

@@ -1,9 +1,11 @@
-"""Stdlib JSON endpoint in front of a :class:`LayoutEngine`.
+"""Stdlib JSON endpoint: one handler for every serving mode.
 
 No framework, no new dependencies: ``http.server.ThreadingHTTPServer``
-gives one handler thread per connection, and the engine underneath
+gives one handler thread per connection.  The handler talks to a
+doc-level backend — :class:`EngineBackend` over an in-process engine,
+or a :class:`repro.cluster.ClusterRouter` for ``--workers N`` — which
 provides the real concurrency discipline (worker pool + admission
-control).  Routes:
+control, or sharding + cluster-wide coalescing).  Routes:
 
 ``POST /layout``
     Body ``{"graph": "barth", "scale": "tiny", "algorithm": "parhde",
@@ -28,21 +30,24 @@ control).  Routes:
     Answers with the new epoch and the effective edit counts.
 ``GET /healthz``
     Liveness probe; ``{"status": "ok", "workers": 1}`` while serving,
-    ``{"status": "draining", "workers": 1}`` once graceful shutdown
-    began (load balancers should stop routing here).  ``workers`` is the
-    number of healthy serving processes — always 1 in this in-process
-    mode, the live worker count behind a :mod:`repro.cluster` router —
-    so probes parse one schema in both modes.
+    ``{"status": "draining", "workers": 1}`` (503) once graceful
+    shutdown began (load balancers should stop routing here).
+    ``workers`` is the number of healthy serving processes — always 1
+    in process, the live worker count behind a cluster router — so
+    probes parse one schema in both modes.
 ``GET /stats``
-    Telemetry + cache + pool snapshot as JSON, or as an aligned
-    plain-text page with ``?format=text``.
+    The backend's snapshot as JSON (telemetry + cache + pool in
+    process; router / ring / placement / workers / aggregate sections
+    in cluster mode), or an aligned plain-text page with
+    ``?format=text``.
 
 Errors come back as ``{"error": <code>, "message": <detail>}`` with the
-status mapped from the :class:`~repro.service.engine.ServiceError`
-hierarchy (400 bad request, 503 overloaded, 504 timeout).  Internal
-failures (unexpected exceptions and bare ``ServiceError`` wrappers
-around compute crashes) never echo exception text to the client: the
-body carries only a generated error id, and the detail goes to the
+status mapped by :func:`error_response` from the
+:class:`~repro.service.engine.ServiceError` hierarchy (400 bad request,
+404 unknown route, 503 overloaded, 504 timeout).  Internal failures
+(unexpected exceptions and bare ``ServiceError`` wrappers around
+compute crashes) never echo exception text to the client: the body
+carries only a generated error id, and the detail goes to the
 ``repro.service.http`` logger server-side.
 """
 
@@ -65,7 +70,9 @@ from .engine import (
 )
 
 __all__ = [
+    "EngineBackend",
     "LayoutServer",
+    "error_response",
     "layout_doc_from_query",
     "layout_payload",
     "make_server",
@@ -256,207 +263,203 @@ def update_payload(response) -> dict:
     }
 
 
+class _NotFound(ServiceError):
+    code = "not_found"
+    http_status = 404
+
+
+def error_response(
+    exc: BaseException, telemetry, context: str
+) -> tuple[int, dict]:
+    """Map an exception to the wire contract's ``(status, body)``.
+
+    Typed :class:`ServiceError` subclasses keep their code and status,
+    ``TypeError``/``ValueError`` are malformed input (400).  Anything
+    else — including a bare ``ServiceError``, the engine's wrapper
+    around a compute crash whose text may carry internals — is logged
+    with its traceback and answered with an opaque error id only; the
+    ``http.internal_errors`` counter lets dashboards watch the rate.
+    Shared by the HTTP handler and the cluster worker protocol.
+    """
+    if isinstance(exc, ServiceError) and type(exc) is not ServiceError:
+        return exc.http_status, {"error": exc.code, "message": str(exc)}
+    if isinstance(exc, (TypeError, ValueError)):
+        return 400, {"error": "bad_request", "message": str(exc)}
+    error_id = uuid.uuid4().hex[:12]
+    logger.error(
+        "internal error %s handling %s: %s", error_id, context, exc,
+        exc_info=exc,
+    )
+    telemetry.inc("http.internal_errors")
+    return 500, {
+        "error": "internal",
+        "message": f"internal server error (id {error_id})",
+        "error_id": error_id,
+    }
+
+
+class EngineBackend:
+    """Doc-level serving API over a :class:`LayoutEngine`.
+
+    Works for any engine with the ``submit`` / ``update`` / ``stats`` /
+    ``drain`` interface (a :class:`repro.lod.ProgressiveEngine` too) and
+    exposes the same methods as :class:`repro.cluster.ClusterRouter`,
+    so one HTTP handler serves both modes and the cluster worker answers
+    its ``layout``/``update`` ops through this class as well.
+    """
+
+    def __init__(self, engine: LayoutEngine):
+        self.engine = engine
+
+    @property
+    def telemetry(self):
+        return self.engine.telemetry
+
+    def layout(self, doc: dict) -> dict:
+        request, include_coords = parse_layout_doc(doc)
+        return layout_payload(self.engine.submit(request), include_coords)
+
+    def update(self, doc: dict) -> dict:
+        return update_payload(self.engine.update(parse_update_doc(doc)))
+
+    def stats(self) -> dict:
+        return self.engine.stats()
+
+    def stats_text(self) -> str:
+        stats = self.engine.stats()
+        return self.telemetry.render_text(
+            {"cache": stats["cache"], "pool": stats["pool"]}
+        )
+
+    def healthz(self) -> dict:
+        # "workers" counts healthy serving processes (always 1 here, the
+        # live worker count behind a router), so probes parse one schema.
+        status = "draining" if self.engine.draining else "ok"
+        return {"status": status, "workers": 1}
+
+    def drain(self, timeout: float = 10.0) -> bool:
+        return self.engine.drain(timeout)
+
+
+def _json_doc(body: "bytes | BadRequest") -> dict:
+    if isinstance(body, BadRequest):
+        raise body
+    if not body:
+        raise BadRequest("missing request body")
+    try:
+        doc = json.loads(body)
+    except json.JSONDecodeError as exc:
+        raise BadRequest(f"invalid JSON body: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise BadRequest("request body must be a JSON object")
+    return doc
+
+
 class _Handler(BaseHTTPRequestHandler):
     server_version = "parhde-serve/1"
     protocol_version = "HTTP/1.1"
-
-    # -- plumbing ----------------------------------------------------------
-    @property
-    def engine(self) -> LayoutEngine:
-        return self.server.engine  # type: ignore[attr-defined]
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         if self.server.verbose:  # type: ignore[attr-defined]
             super().log_message(format, *args)
 
-    def _send(self, status: int, payload, *, text: bool = False) -> None:
-        body = (
-            payload.encode() if text else json.dumps(payload).encode()
-        )
+    def do_GET(self) -> None:  # noqa: N802 — http.server API
+        self._dispatch()
+
+    def do_POST(self) -> None:  # noqa: N802 — http.server API
+        self._dispatch()
+
+    def _dispatch(self) -> None:
+        backend = self.server.backend  # type: ignore[attr-defined]
+        body = self._read_body()
+        try:
+            status, payload = self._route(backend, body)
+        except Exception as exc:  # noqa: BLE001 — mapped to the contract
+            status, payload = error_response(
+                exc, backend.telemetry, f"{self.command} {self.path}"
+            )
+        self._send(status, payload)
+
+    def _route(self, backend, body) -> tuple[int, "dict | str"]:
+        url = urlparse(self.path)
+        route = (self.command, url.path)
+        if route == ("GET", "/healthz"):
+            health = backend.healthz()
+            return (200 if health["status"] == "ok" else 503), health
+        if route == ("GET", "/stats"):
+            fmt = parse_qs(url.query).get("format", ["json"])[0]
+            if fmt == "text":
+                return 200, backend.stats_text() + "\n"
+            return 200, backend.stats()
+        if route == ("GET", "/layout"):
+            return 200, backend.layout(layout_doc_from_query(url.query))
+        if route == ("POST", "/layout"):
+            return 200, backend.layout(_json_doc(body))
+        if route == ("POST", "/update"):
+            return 200, backend.update(_json_doc(body))
+        raise _NotFound(f"no route {url.path}")
+
+    def _read_body(self) -> "bytes | BadRequest":
+        """Consume the request body before routing, on every route.
+
+        Reading it keeps a keep-alive connection framed: the next
+        request starts on a request line.  A body that cannot be
+        skipped — a malformed or over-limit Content-Length — closes the
+        connection after the response instead, and comes back as the
+        error a body-reading route raises.
+        """
+        raw = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(raw)
+        except ValueError:
+            length = -1
+        if 0 <= length <= _MAX_BODY:
+            return self.rfile.read(length)
+        self.close_connection = True
+        if length < 0:
+            return BadRequest(f"malformed Content-Length {raw!r}")
+        return BadRequest(f"request body exceeds {_MAX_BODY} bytes")
+
+    def _send(self, status: int, payload) -> None:
+        text = isinstance(payload, str)
+        body = payload.encode() if text else json.dumps(payload).encode()
         self.send_response(status)
         self.send_header(
             "Content-Type",
             "text/plain; charset=utf-8" if text else "application/json",
         )
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_error(self, exc: ServiceError) -> None:
-        if type(exc) is ServiceError:
-            # A bare ServiceError is the engine's wrapper around an
-            # arbitrary compute crash — its message may carry exception
-            # text, so treat it like any other internal failure.
-            self._send_internal(exc)
-            return
-        self._send(
-            exc.http_status, {"error": exc.code, "message": str(exc)}
-        )
-
-    def _send_internal(self, exc: BaseException) -> None:
-        """Last-resort 500: log the traceback, return only an error id.
-
-        Raw exception text can leak file paths, graph names or request
-        internals; the client gets an opaque id to quote, and the
-        operator greps the server log for it.
-        """
-        error_id = uuid.uuid4().hex[:12]
-        logger.exception(
-            "internal error %s handling %s %s: %s",
-            error_id, self.command, self.path, exc,
-        )
-        # Operator dashboards watch the *rate* of these; the log line
-        # alone is invisible to a metrics scrape.
-        self.engine.telemetry.inc("http.internal_errors")
-        self._send(
-            500,
-            {
-                "error": "internal",
-                "message": f"internal server error (id {error_id})",
-                "error_id": error_id,
-            },
-        )
-
-    # -- routes ------------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 — http.server API
-        url = urlparse(self.path)
-        if url.path == "/healthz":
-            # One schema in both serving modes: "workers" counts healthy
-            # serving processes (1 here; the live worker count behind a
-            # repro.cluster router), so probes need no mode switch.
-            if getattr(self.server, "draining", False):
-                self._send(503, {"status": "draining", "workers": 1})
-            else:
-                self._send(200, {"status": "ok", "workers": 1})
-        elif url.path == "/stats":
-            fmt = parse_qs(url.query).get("format", ["json"])[0]
-            stats = self.engine.stats()
-            if fmt == "text":
-                extra = {
-                    "cache": stats["cache"],
-                    "pool": stats["pool"],
-                }
-                self._send(
-                    200,
-                    self.engine.telemetry.render_text(extra) + "\n",
-                    text=True,
-                )
-            else:
-                self._send(200, stats)
-        elif url.path == "/layout":
-            if getattr(self.server, "draining", False):
-                self._send(
-                    503,
-                    {
-                        "error": "overloaded",
-                        "message": "server is draining; retry against"
-                        " another instance",
-                    },
-                )
-                return
-            try:
-                request, include_coords = parse_layout_doc(
-                    layout_doc_from_query(url.query)
-                )
-                response = self.engine.submit(request)
-            except ServiceError as exc:
-                self._send_error(exc)
-                return
-            except Exception as exc:  # noqa: BLE001 — last-resort 500
-                self._send_internal(exc)
-                return
-            self._send(200, layout_payload(response, include_coords))
-        else:
-            self._send(
-                404, {"error": "not_found", "message": f"no route {url.path}"}
-            )
-
-    def do_POST(self) -> None:  # noqa: N802 — http.server API
-        url = urlparse(self.path)
-        if getattr(self.server, "draining", False):
-            self._send(
-                503,
-                {
-                    "error": "overloaded",
-                    "message": "server is draining; retry against another"
-                    " instance",
-                },
-            )
-            return
-        if url.path == "/update":
-            self._post_update()
-            return
-        if url.path != "/layout":
-            self._send(
-                404, {"error": "not_found", "message": f"no route {url.path}"}
-            )
-            return
-        try:
-            body = self._read_request()
-            response = self.engine.submit(body[0])
-        except ServiceError as exc:
-            self._send_error(exc)
-            return
-        except Exception as exc:  # noqa: BLE001 — last-resort 500
-            self._send_internal(exc)
-            return
-        self._send(200, layout_payload(response, body[1]))
-
-    def _post_update(self) -> None:
-        try:
-            request = parse_update_doc(self._read_body())
-            response = self.engine.update(request)
-        except ServiceError as exc:
-            self._send_error(exc)
-            return
-        except (TypeError, ValueError) as exc:
-            self._send(400, {"error": "bad_request", "message": str(exc)})
-            return
-        except Exception as exc:  # noqa: BLE001 — last-resort 500
-            self._send_internal(exc)
-            return
-        self._send(200, update_payload(response))
-
-    def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            raise BadRequest("missing request body")
-        if length > _MAX_BODY:
-            raise BadRequest(f"request body exceeds {_MAX_BODY} bytes")
-        try:
-            doc = json.loads(self.rfile.read(length))
-        except json.JSONDecodeError as exc:
-            raise BadRequest(f"invalid JSON body: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise BadRequest("request body must be a JSON object")
-        return doc
-
-    def _read_request(self) -> tuple[LayoutRequest, bool]:
-        return parse_layout_doc(self._read_body())
-
 
 class LayoutServer:
-    """A :class:`ThreadingHTTPServer` bound to an engine.
+    """A :class:`ThreadingHTTPServer` bound to a serving backend.
 
-    ``start()`` runs the accept loop in a daemon thread (tests, smoke
-    scripts); ``serve_forever()`` blocks (the CLI).  Construct with
-    ``port=0`` to bind an ephemeral port and read it back from
-    :attr:`address`.
+    The backend is an engine (wrapped in :class:`EngineBackend`) or a
+    :class:`repro.cluster.ClusterRouter`; both speak the same wire
+    contract through one handler.  ``start()`` runs the accept loop in a
+    daemon thread (tests, smoke scripts); ``serve_forever()`` blocks
+    (the CLI).  Construct with ``port=0`` to bind an ephemeral port and
+    read it back from :attr:`address`.
     """
 
     def __init__(
         self,
-        engine: LayoutEngine,
+        backend,
         host: str = "127.0.0.1",
         port: int = 8080,
         *,
         verbose: bool = False,
     ):
-        self.engine = engine
+        if hasattr(backend, "submit"):
+            backend = EngineBackend(backend)
+        self.backend = backend
         self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        self._httpd.engine = engine  # type: ignore[attr-defined]
+        self._httpd.backend = backend  # type: ignore[attr-defined]
         self._httpd.verbose = verbose  # type: ignore[attr-defined]
-        self._httpd.draining = False  # type: ignore[attr-defined]
         self._httpd.daemon_threads = True
         self._thread: threading.Thread | None = None
 
@@ -480,22 +483,16 @@ class LayoutServer:
     def serve_forever(self) -> None:
         self._httpd.serve_forever()
 
-    @property
-    def draining(self) -> bool:
-        return bool(getattr(self._httpd, "draining", False))
-
     def drain(self, timeout: float = 10.0) -> bool:
         """Graceful shutdown, phase one: refuse new work, finish old.
 
-        New ``POST`` requests get an immediate 503 and ``/healthz``
-        flips to ``draining`` (handled connections keep being accepted
-        so those answers can be sent); the engine then waits up to
-        ``timeout`` seconds for in-flight computations.  Returns the
-        engine's verdict (``True`` = drained clean).  Call
-        :meth:`shutdown` afterwards to stop the accept loop.
+        The backend refuses new layouts and updates with 503 and
+        ``/healthz`` flips to ``draining`` (connections keep being
+        accepted so those answers can be sent); in-flight work gets up
+        to ``timeout`` seconds.  Returns ``True`` when it drained clean.
+        Call :meth:`shutdown` afterwards to stop the accept loop.
         """
-        self._httpd.draining = True  # type: ignore[attr-defined]
-        return self.engine.drain(timeout)
+        return self.backend.drain(timeout)
 
     def shutdown(self) -> None:
         self._httpd.shutdown()
@@ -512,11 +509,12 @@ class LayoutServer:
 
 
 def make_server(
-    engine: LayoutEngine,
+    backend,
     host: str = "127.0.0.1",
     port: int = 8080,
     *,
     verbose: bool = False,
 ) -> LayoutServer:
-    """Bind (but do not start) a :class:`LayoutServer`."""
-    return LayoutServer(engine, host, port, verbose=verbose)
+    """Bind (but do not start) a :class:`LayoutServer` for an engine or
+    a started :class:`repro.cluster.ClusterRouter`."""
+    return LayoutServer(backend, host, port, verbose=verbose)

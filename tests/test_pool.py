@@ -112,68 +112,3 @@ class TestEdgeCases:
     def test_invalid_threads(self):
         with pytest.raises(ValueError):
             ParallelExecutor(0)
-
-
-class TestThreadedKernels:
-    """The real parallel execution path must match the sequential kernels."""
-
-    @pytest.mark.parametrize("threads", [1, 2, 4])
-    def test_threaded_spmm_matches(self, threads, small_random, rng):
-        from repro.linalg import spmm
-        from repro.parallel import threaded_spmm
-
-        X = rng.standard_normal((small_random.n, 3))
-        with ParallelExecutor(threads) as ex:
-            got = threaded_spmm(small_random, X, ex)
-        np.testing.assert_allclose(got, spmm(small_random, X))
-
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_threaded_spmm_vector_and_weighted(self, threads, small_grid, rng):
-        from repro.graph import random_integer_weights
-        from repro.linalg import spmm
-        from repro.parallel import threaded_spmm
-
-        g = random_integer_weights(small_grid, 1, 7, seed=0)
-        x = rng.standard_normal(g.n)
-        with ParallelExecutor(threads) as ex:
-            got = threaded_spmm(g, x, ex)
-        np.testing.assert_allclose(got, spmm(g, x))
-
-    @pytest.mark.parametrize("threads", [1, 2, 4])
-    def test_threaded_laplacian_matches(self, threads, small_random, rng):
-        from repro.linalg import laplacian_spmm
-        from repro.parallel import threaded_laplacian_spmm
-
-        X = rng.standard_normal((small_random.n, 2))
-        with ParallelExecutor(threads) as ex:
-            got = threaded_laplacian_spmm(small_random, X, ex)
-        np.testing.assert_allclose(got, laplacian_spmm(small_random, X))
-
-    @pytest.mark.parametrize("threads", [1, 2, 4])
-    def test_threaded_dortho_sweep(self, threads, rng):
-        from repro.parallel import threaded_dortho_sweep
-
-        n = 4000
-        d = rng.integers(1, 6, size=n).astype(float)
-        # Build a small D-orthonormal basis.
-        S = rng.standard_normal((n, 3))
-        for j in range(3):
-            for i in range(j):
-                S[:, j] -= np.dot(S[:, i] * d, S[:, j]) * S[:, i]
-            S[:, j] /= np.sqrt(np.dot(S[:, j] * d, S[:, j]))
-        v = rng.standard_normal(n)
-        ref = v.copy()
-        for j in range(3):
-            ref -= np.dot(S[:, j] * d, ref) * S[:, j]
-        with ParallelExecutor(threads) as ex:
-            threaded_dortho_sweep(S, d, v, ex)
-        np.testing.assert_allclose(v, ref, atol=1e-9)
-        # Result is D-orthogonal to every basis column.
-        np.testing.assert_allclose(S.T @ (d * v), 0.0, atol=1e-8)
-
-    def test_threaded_spmm_shape_check(self, small_grid):
-        from repro.parallel import threaded_spmm
-
-        with ParallelExecutor(1) as ex:
-            with pytest.raises(ValueError):
-                threaded_spmm(small_grid, np.ones((3, 2)), ex)

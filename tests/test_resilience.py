@@ -44,6 +44,7 @@ from repro.service import (
     Overloaded,
     ResilienceConfig,
     Telemetry,
+    UpdateRequest,
     make_server,
 )
 
@@ -670,6 +671,19 @@ class TestServerDrain:
         finally:
             server.shutdown()
             engine.close()
+
+    def test_draining_engine_refuses_updates(self):
+        with LayoutEngine(workers=1, timeout=10.0) as engine:
+            request = UpdateRequest(
+                graph="barth", scale="tiny", inserts=((0, 5),)
+            )
+            assert engine.update(request).epoch == 1
+            assert engine.drain(0.5) is True
+            with pytest.raises(Overloaded, match="draining"):
+                engine.update(request)
+            # The refused delta was not applied: the epoch did not move.
+            layout = LayoutRequest(graph="barth", scale="tiny")
+            assert engine.resolve_versioned(layout)[3] == 1
 
 
 # ---------------------------------------------------------------------------

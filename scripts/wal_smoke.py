@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Chaos gate for WAL durability (``make wal-smoke``).
 
-Two independent proofs, both exiting nonzero with a diagnostic on any
+Three independent proofs, all exiting nonzero with a diagnostic on any
 violation so CI can gate on them:
 
 **Crash-replay equivalence.**  Boots the real CLI — ``parhde serve
@@ -21,6 +21,16 @@ the active segment — a torn/corrupt tail record.  Reopening must
 truncate at the last valid record (state equals the control at the
 prefix epoch, bitwise), count the damage in ``wal.corrupt_records``,
 and quarantine the torn bytes rather than deleting them.
+
+**Stream restart equivalence.**  Runs ``parhde stream --wal DIR`` over
+single-edge batches in two invocations, so the second one resumes
+across a mid-stream checkpoint plus a journal tail, and once
+uninterrupted.  The resumed run must print the same ``mode=…
+reason=…`` lines for the second half (the checkpoint lands mid-way
+through a run of repairs, so the staleness relayouts after it depend on
+restored state),
+save coordinates ``allclose`` to the uninterrupted run's, and end at
+the same stream epoch.
 """
 
 from __future__ import annotations
@@ -37,6 +47,7 @@ import time
 import urllib.request
 
 UPDATES = 4
+STREAM_BATCHES = 40  # > 2x the stream checkpoint cadence (16)
 GRAPH = {"graph": "barth", "scale": "tiny", "seed": 0}
 LAYOUT_BODY = {**GRAPH, "s": 6, "include_coords": True}
 
@@ -282,13 +293,89 @@ def _torn_tail(failures: list[str]) -> None:
         shutil.rmtree(wal_dir, ignore_errors=True)
 
 
+def _stream(events: list[str], workdir: str, name: str, *extra: str):
+    """Run ``parhde stream`` over ``events``; return (decisions, archive)."""
+    path = os.path.join(workdir, f"{name}.events")
+    with open(path, "w") as fh:
+        fh.write("\n".join(events) + "\n")
+    archive = os.path.join(workdir, f"{name}.npz")
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "repro", "stream", "barth", path,
+            "--scale", "tiny", "-s", "6", "--staleness-limit", "5",
+            "--drift-threshold", "0.3", "--save-layout", archive, *extra,
+        ],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"parhde stream ({name}) exited {proc.returncode}:"
+                           f" {proc.stderr.strip()}")
+    decisions = [
+        " ".join(w for w in line.split() if w.startswith(("mode=", "reason=")))
+        for line in proc.stdout.splitlines()
+        if line.startswith("update ")
+    ]
+    return decisions, archive
+
+
+def _stream_resume(failures: list[str]) -> None:
+    import numpy as np
+
+    from repro.core import load_layout
+
+    # Deterministic single-edge inserts on barth tiny (744 vertices);
+    # inserts only, so no batch can disconnect the graph.
+    events = [f"+ {i} {400 + 5 * i}" for i in range(STREAM_BATCHES)]
+    half = STREAM_BATCHES // 2
+    workdir = tempfile.mkdtemp(prefix="wal-stream-")
+    try:
+        wal = os.path.join(workdir, "wal")
+        _stream(events[:half], workdir, "first", "--wal", wal)
+        resumed, resumed_npz = _stream(events[half:], workdir, "second",
+                                       "--wal", wal)
+        control, control_npz = _stream(events, workdir, "control")
+        if resumed != control[half:]:
+            failures.append(
+                "resumed stream decisions differ from the uninterrupted"
+                f" run: {resumed} != {control[half:]}"
+            )
+        got, want = load_layout(resumed_npz), load_layout(control_npz)
+        if not np.allclose(got.coords, want.coords, atol=1e-9):
+            failures.append(
+                "resumed stream coordinates differ from the uninterrupted"
+                " run beyond atol=1e-9"
+            )
+        epochs = (got.params.get("stream_epoch"),
+                  want.params.get("stream_epoch"))
+        if epochs[0] != epochs[1]:
+            failures.append(
+                f"resumed stream ended at epoch {epochs[0]}, the"
+                f" uninterrupted run at {epochs[1]}"
+            )
+        if not failures:
+            reasons = sorted(set(d.split("reason=")[1] for d in resumed))
+            print(
+                f"wal-smoke: stream resumed at batch {half} of"
+                f" {STREAM_BATCHES} made the same {len(resumed)} decisions"
+                f" ({', '.join(reasons)}) and reached epoch {epochs[0]}"
+            )
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+
+
 def main() -> int:
     failures: list[str] = []
     _crash_replay(failures)
     before = len(failures)
     _torn_tail(failures)
+    _stream_resume(failures)
     if len(failures) == before and before == 0:
-        print("wal-smoke: ok — crash replay and torn-tail recovery hold")
+        print(
+            "wal-smoke: ok — crash replay, torn-tail recovery and stream"
+            " restart hold"
+        )
     for failure in failures:
         print(f"wal-smoke: FAIL — {failure}", file=sys.stderr)
     return 1 if failures else 0

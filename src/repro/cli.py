@@ -368,17 +368,12 @@ def main(argv: list[str] | None = None) -> int:
         help="save the final frame (warm-startable archive)",
     )
     p_stream.add_argument(
-        "--autosave",
-        metavar="FILE.npz",
-        help="crash-safe persistence: atomically save the frame after"
-        " every update, and resume from FILE when it already exists",
-    )
-    p_stream.add_argument(
         "--wal",
         metavar="DIR",
         help="write-ahead-log directory: O(delta) journaling + periodic"
-        " checkpoints instead of --autosave's full archive per update;"
-        " resumes from DIR when it already holds a journal (docs/wal.md)",
+        " checkpoints; resumes from DIR when it already holds a journal,"
+        " otherwise starts fresh (warm from --layout when given)"
+        " (docs/wal.md)",
     )
     p_stream.add_argument(
         "--strict",
@@ -915,50 +910,30 @@ def _stream(g, args, parser) -> int:
         staleness_limit=args.staleness_limit,
     )
     t0 = time.perf_counter()
-    autosave = getattr(args, "autosave", None)
     wal = getattr(args, "wal", None)
-    if args.layout:
-        try:
-            session = StreamSession.from_layout(
-                g, args.layout, policy=policy, autosave=autosave
-            )
-        except (OSError, ValueError, KeyError) as exc:
-            parser.error(f"cannot warm-start from {args.layout!r}: {exc}")
-    elif wal:
-        session = StreamSession.resume_wal(
-            g,
-            wal,
-            s=args.subspace,
-            seed=args.seed,
-            policy=policy,
-            traversal=args.traversal,
-        )
-        if session.epoch:
-            print(
-                f"resumed from WAL {wal} (epoch {session.epoch})",
-                file=sys.stderr,
-            )
-    elif autosave:
-        session = StreamSession.resume(
-            g,
-            autosave,
-            s=args.subspace,
-            seed=args.seed,
-            policy=policy,
-            traversal=args.traversal,
-        )
-        if session.epoch:
-            print(
-                f"resumed from {autosave} (epoch {session.epoch})",
-                file=sys.stderr,
-            )
-    else:
-        session = StreamSession(
-            g,
-            args.subspace,
-            seed=args.seed,
-            policy=policy,
-            traversal=args.traversal,
+    try:
+        if args.layout:
+            from .core import load_layout
+
+            fresh = {"layout": load_layout(args.layout)}
+        else:
+            fresh = {
+                "s": args.subspace,
+                "seed": args.seed,
+                "traversal": args.traversal,
+            }
+        if wal:
+            session = StreamSession.resume_wal(g, wal, policy=policy, **fresh)
+        else:
+            session = StreamSession(g, policy=policy, **fresh)
+    except (OSError, ValueError, KeyError) as exc:
+        if not args.layout:
+            raise
+        parser.error(f"cannot warm-start from {args.layout!r}: {exc}")
+    if wal and session.epoch:
+        print(
+            f"resumed from WAL {wal} (epoch {session.epoch})",
+            file=sys.stderr,
         )
     print(
         f"initial layout: {time.perf_counter() - t0:.3f}s"

@@ -44,7 +44,7 @@ from ..resilience.breaker import OPEN
 from ..resilience.ladder import baseline_layout, is_lod_tier, resilient_layout
 from ..stream.delta import EdgeDelta, edge_delta
 from ..stream.overlay import DynamicGraph
-from ..wal import WriteAheadLog, edge_diff
+from ..wal import WalReplay, WriteAheadLog, edge_diff
 from ..validate import (
     InvariantViolation,
     ValidationPolicy,
@@ -56,6 +56,10 @@ from .singleflight import SingleFlight
 from .telemetry import Telemetry
 
 logger = logging.getLogger("repro.service.engine")
+
+#: Journal appends between automatic WAL snapshot + compaction passes
+#: (bounds replay cost).
+WAL_SNAPSHOT_EVERY = 256
 
 __all__ = [
     "BadRequest",
@@ -401,9 +405,6 @@ class LayoutEngine:
     wal_fsync:
         Durability policy: ``"always"`` / ``"batch"`` (default) /
         ``"off"`` — see :class:`repro.wal.WriteAheadLog`.
-    wal_snapshot_every:
-        Journal appends between automatic snapshot + compaction passes
-        (bounds replay cost).
     """
 
     def __init__(
@@ -420,7 +421,6 @@ class LayoutEngine:
         resilience: "ResilienceConfig | bool | None" = None,
         wal_dir: str | None = None,
         wal_fsync: str = "batch",
-        wal_snapshot_every: int = 256,
     ):
         if timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {timeout}")
@@ -457,15 +457,16 @@ class LayoutEngine:
         self._warm_lock = threading.Lock()
         self._warm_capacity = 16
         self._wal: WriteAheadLog | None = None
-        self._wal_replaying = False
-        self._wal_replay_lsn = 0
-        self._wal_snapshot_every = max(1, int(wal_snapshot_every))
         self._wal_snap_lock = threading.Lock()
+        self._wal_snap_warned = False
         if wal_dir is not None:
-            self._wal = WriteAheadLog(
+            log = WriteAheadLog(
                 wal_dir, fsync=wal_fsync, telemetry=self.telemetry
             )
-            self._replay_wal()
+            # Rebuild state before attaching the log: the replayed
+            # records are already journaled and must not be appended again.
+            self._replay_wal(log.replay())
+            self._wal = log
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:
@@ -564,11 +565,25 @@ class LayoutEngine:
         all-no-op batch, which costs one redundant cache namespace but
         never risks serving a stale layout.
         """
-        t0 = time.perf_counter()
-        if not self._wal_replaying:
-            self.telemetry.inc("updates")
+        self.telemetry.inc("updates")
         if self._draining:
             raise Overloaded("engine is draining; not accepting new requests")
+        response = self._apply_update(request)
+        if response.pinned or response.unpinned:
+            self.telemetry.inc(
+                "constraints.pin_edits", response.pinned + response.unpinned
+            )
+        self._maybe_wal_snapshot()
+        return response
+
+    def _apply_update(self, request: UpdateRequest) -> UpdateResponse:
+        """Validate, journal (when a WAL is attached) and apply one batch.
+
+        WAL replay calls this directly, so replayed records touch no
+        telemetry and — the log being attached only after replay — are
+        not journaled again.
+        """
+        t0 = time.perf_counter()
         if isinstance(request.graph, CSRGraph):
             raise BadRequest(
                 "updates address named graphs only; in-memory graphs are"
@@ -622,8 +637,6 @@ class LayoutEngine:
             for v in unpins:
                 if state.pins.pop(v, None) is not None:
                     unpinned += 1
-            if (pinned or unpinned) and not self._wal_replaying:
-                self.telemetry.inc("constraints.pin_edits", pinned + unpinned)
             if not len(delta):
                 # Pin-only batch: fingerprints move through the merged
                 # constraint params, so the epoch stays put and cached
@@ -646,7 +659,7 @@ class LayoutEngine:
             state.epoch += 1
             state.content += 1
             compacted = state.dyn.maybe_compact()
-            response = UpdateResponse(
+            return UpdateResponse(
                 graph_name=request.graph,
                 epoch=state.epoch,
                 n=state.dyn.n,
@@ -660,8 +673,6 @@ class LayoutEngine:
                 pinned=pinned,
                 unpinned=unpinned,
             )
-        self._maybe_wal_snapshot()
-        return response
 
     # -- write-ahead log ---------------------------------------------------
     def _journal_update(
@@ -672,16 +683,8 @@ class LayoutEngine:
         pin_spec: ConstraintSpec,
         unpins: list[int],
     ) -> None:
-        """Journal one validated update batch (called under ``state.lock``).
-
-        During replay the batch *came from* the log; instead of
-        re-appending, the state adopts the replaying record's LSN so the
-        idempotency skip and future snapshots stay exact.
-        """
+        """Journal one validated update batch (called under ``state.lock``)."""
         if self._wal is None:
-            return
-        if self._wal_replaying:
-            state.wal_lsn = self._wal_replay_lsn
             return
         record: dict[str, Any] = {
             "type": "update" if len(delta) else "pins",
@@ -707,31 +710,25 @@ class LayoutEngine:
                 f"write-ahead log append failed: {exc}"
             ) from exc
 
-    def _replay_wal(self) -> None:
+    def _replay_wal(self, replay: WalReplay) -> None:
         """Rebuild every graph's ``(digest, epoch, pins)`` from the WAL."""
-        assert self._wal is not None
-        replay = self._wal.replay()
-        self._wal_replaying = True
-        try:
-            snap = replay.snapshot or {}
-            for entry in (snap.get("graphs") or {}).values():
-                try:
-                    self._restore_graph(entry)
-                except Exception as exc:  # noqa: BLE001 — keep serving
-                    logger.warning(
-                        "WAL snapshot entry for %r unusable (%s); the graph"
-                        " restarts pristine", entry.get("graph"), exc,
-                    )
-            for record in replay.records:
-                try:
-                    self._replay_record(record)
-                except Exception as exc:  # noqa: BLE001 — keep serving
-                    logger.warning(
-                        "WAL record %s unusable (%s); skipped",
-                        record.get("lsn"), exc,
-                    )
-        finally:
-            self._wal_replaying = False
+        snap = replay.snapshot or {}
+        for entry in (snap.get("graphs") or {}).values():
+            try:
+                self._restore_graph(entry)
+            except Exception as exc:  # noqa: BLE001 — keep serving
+                logger.warning(
+                    "WAL snapshot entry for %r unusable (%s); the graph"
+                    " restarts pristine", entry.get("graph"), exc,
+                )
+        for record in replay.records:
+            try:
+                self._replay_record(record)
+            except Exception as exc:  # noqa: BLE001 — keep serving
+                logger.warning(
+                    "WAL record %s unusable (%s); skipped",
+                    record.get("lsn"), exc,
+                )
 
     def _restore_graph(self, entry: Mapping[str, Any]) -> None:
         name = entry["graph"]
@@ -787,9 +784,8 @@ class LayoutEngine:
             state = self._graph_state(*key)
             if lsn <= state.wal_lsn:
                 return  # already reflected in the snapshot
-            self._wal_replay_lsn = lsn
             delta_doc = record.get("delta") or {}
-            self.update(
+            self._apply_update(
                 UpdateRequest(
                     graph=key[0],
                     scale=key[1],
@@ -800,6 +796,9 @@ class LayoutEngine:
                     unpins=tuple(record.get("unpins") or ()),
                 )
             )
+            # Adopt the record's LSN so the idempotency skip above and
+            # future snapshot floors stay exact.
+            state.wal_lsn = lsn
         elif rtype == "publish":
             state = self._graph_state(*key)
             if lsn <= state.wal_lsn:
@@ -817,9 +816,11 @@ class LayoutEngine:
         """Checkpoint every graph's state into the WAL and compact.
 
         Returns ``True`` when a snapshot was written; ``False`` when the
-        engine has no WAL, another thread is mid-snapshot, or a graph's
+        engine has no WAL, another thread is mid-snapshot, a graph's
         base could not be reloaded (compacting past an unsnapshottable
-        graph would orphan its records, so the whole pass aborts).
+        graph would orphan its records, so the whole pass aborts), or
+        writing the snapshot failed (counted in ``wal.snapshot_errors``,
+        logged once).
         """
         if self._wal is None:
             return False
@@ -863,10 +864,25 @@ class LayoutEngine:
                     if floor is None
                     else min(floor, entry["lsn"])
                 )
-            self._wal.snapshot(
-                {"version": 1, "graphs": graphs},
-                floor=floor if floor is not None else self._wal.last_lsn,
-            )
+            try:
+                self._wal.snapshot(
+                    {"version": 1, "graphs": graphs},
+                    floor=floor if floor is not None else self._wal.last_lsn,
+                )
+            except OSError as exc:
+                # The journal still holds every record, so a failed
+                # checkpoint only delays compaction.  It must not fail
+                # the update that triggered it: that update is already
+                # applied and journaled, and a client retry would apply
+                # it twice.
+                self.telemetry.inc("wal.snapshot_errors")
+                if not self._wal_snap_warned:
+                    self._wal_snap_warned = True
+                    logger.warning(
+                        "WAL snapshot failed: %s (logged once; failures"
+                        " counted in wal.snapshot_errors)", exc,
+                    )
+                return False
             return True
         finally:
             self._wal_snap_lock.release()
@@ -874,8 +890,7 @@ class LayoutEngine:
     def _maybe_wal_snapshot(self) -> None:
         if (
             self._wal is not None
-            and not self._wal_replaying
-            and self._wal.appends_since_snapshot >= self._wal_snapshot_every
+            and self._wal.appends_since_snapshot >= WAL_SNAPSHOT_EVERY
         ):
             self.wal_snapshot()
 
@@ -899,11 +914,7 @@ class LayoutEngine:
         with self._graphs_lock:
             # Another thread may have raced the load; keep the first.
             winner = self._graphs.setdefault(key, state)
-            if (
-                winner is state
-                and self._wal is not None
-                and not self._wal_replaying
-            ):
+            if winner is state and self._wal is not None:
                 # Journaled under the registry lock so the register
                 # record precedes any update record for this graph
                 # appended by the thread that inserted it.  (A racing
@@ -982,7 +993,7 @@ class LayoutEngine:
         with state.lock:
             if expect_content is not None and state.content != expect_content:
                 return None
-            if self._wal is not None and not self._wal_replaying:
+            if self._wal is not None:
                 state.wal_lsn = self._wal.append(
                     {
                         "type": "publish",

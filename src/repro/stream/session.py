@@ -49,11 +49,8 @@ streamed update and a from-scratch run are apples-to-apples.
 from __future__ import annotations
 
 import logging
-import os
-import tempfile
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -86,6 +83,9 @@ from .overlay import DynamicGraph
 __all__ = ["StreamPolicy", "StreamSession", "StreamUpdate", "bfs_work_units"]
 
 logger = logging.getLogger("repro.stream.session")
+
+#: Journaled updates between WAL checkpoints (frame + graph archives).
+WAL_SNAPSHOT_EVERY = 16
 
 
 @dataclass(frozen=True)
@@ -176,26 +176,16 @@ class StreamSession:
         and layout state back before propagating.  Deep (strict-level)
         checks re-traverse from the pivots after every repair — exact
         but expensive; use ``warn`` for production streams.
-    autosave:
-        Optional archive path.  The current frame is written there
-        atomically (temp file + rename, the ``save_layout`` format)
-        after the initial layout and after every successful update, so
-        a killed process resumes via :meth:`resume` from the last
-        completed frame instead of replaying the stream.  Save failures
-        are logged once per path, counted in
-        ``stats["autosave_failures"]`` and absorbed — persistence must
-        not kill the stream it protects.
     wal:
-        Optional :mod:`repro.wal` directory (or an open
-        :class:`~repro.wal.WriteAheadLog`).  Unlike ``autosave`` — a
-        full archive rewrite per update — the WAL journals each delta /
-        constraint edit as an O(delta) append and checkpoints a full
-        snapshot (frame + graph archives) every ``wal_snapshot_every``
-        updates, compacting the journal behind it.  Resume with
-        :meth:`resume_wal`.
-    wal_fsync / wal_snapshot_every:
-        Journal durability policy (``"always"``/``"batch"``/``"off"``)
-        and checkpoint cadence in journaled updates.
+        Optional :mod:`repro.wal` directory.  The WAL journals each
+        delta / constraint edit as an O(delta) append and checkpoints a
+        full snapshot (frame + graph archives) every
+        :data:`WAL_SNAPSHOT_EVERY` updates, compacting the journal
+        behind it.  Checkpoint failures are logged once, counted in
+        ``stats["checkpoint_failures"]`` and absorbed — persistence must
+        not kill the stream it protects.  Resume with :meth:`resume_wal`.
+    wal_fsync:
+        Journal durability policy (``"always"``/``"batch"``/``"off"``).
     """
 
     def __init__(
@@ -216,12 +206,9 @@ class StreamSession:
         region=None,
         layout: LayoutResult | None = None,
         validation: ValidationPolicy | str | None = None,
-        autosave: str | os.PathLike | None = None,
         wal=None,
         wal_fsync: str = "batch",
-        wal_snapshot_every: int = 16,
         telemetry=None,
-        _wal_replay: list | None = None,
     ):
         self.policy = policy if policy is not None else StreamPolicy()
         self.validation = ValidationPolicy.coerce(validation)
@@ -255,9 +242,9 @@ class StreamSession:
             "warm_eigensolves": 0,
             "constraint_updates": 0,
             "repair_fallbacks": 0,
-            "autosave_failures": 0,
+            "checkpoint_failures": 0,
         }
-        self._autosave_warned = False
+        self._checkpoint_warned = False
         if layout is not None:
             self._adopt(g, layout)
         else:
@@ -293,43 +280,16 @@ class StreamSession:
                     i for i in range(self.B.shape[1]) if i not in dropped
                 ]
         self._Y: np.ndarray | None = None
-        self.autosave_path = Path(autosave) if autosave is not None else None
         self._wal = None
-        self._wal_suppress = False
-        self._wal_snapshot_every = max(1, int(wal_snapshot_every))
         if wal is not None:
             from ..wal import WriteAheadLog
 
-            self._wal = (
-                wal
-                if isinstance(wal, WriteAheadLog)
-                else WriteAheadLog(wal, fsync=wal_fsync, telemetry=telemetry)
+            self._wal = WriteAheadLog(
+                wal, fsync=wal_fsync, telemetry=telemetry
             )
-        if _wal_replay:
-            # Records journaled after the snapshot this session was
-            # constructed from (resume_wal): re-apply them through the
-            # normal update paths with journaling suppressed — they are
-            # already in the log.
-            self._wal_suppress = True
-            try:
-                for record in _wal_replay:
-                    try:
-                        self._replay_wal_record(record)
-                    except Exception as exc:  # noqa: BLE001 — stop at tear
-                        logger.warning(
-                            "stream WAL replay stopped at lsn %s (%s); the"
-                            " session resumes from the %d updates before it",
-                            record.get("lsn"), exc, self.epoch,
-                        )
-                        break
-            finally:
-                self._wal_suppress = False
-        if self._wal is not None:
-            # Checkpoint the constructed (or resumed) state: the WAL dir
-            # is self-contained from birth, and a resume compacts the
-            # records it just replayed.
+            # Checkpoint the constructed state: the WAL dir is
+            # self-contained from birth.
             self._wal_snapshot()
-        self._autosave()
 
     @classmethod
     def from_layout(cls, g: CSRGraph, path, **kwargs) -> "StreamSession":
@@ -345,41 +305,23 @@ class StreamSession:
         return cls(g, layout=result, **kwargs)
 
     @classmethod
-    def resume(cls, g: CSRGraph, path, **kwargs) -> "StreamSession":
-        """Resume from an autosave archive, or start fresh without one.
-
-        The crash-recovery entry point: pass the same ``path`` the
-        killed session autosaved to.  A missing or unreadable archive
-        (including one corrupted mid-crash) falls back to a fresh
-        session that autosaves to the same path; a readable one restores
-        the frame, subspace and stream epoch of the last completed
-        update.  ``g`` must be the graph as of that update.
-        """
-        p = Path(path)
-        if p.exists():
-            try:
-                return cls.from_layout(g, p, autosave=p, **kwargs)
-            except (OSError, ValueError, KeyError) as exc:
-                logger.warning(
-                    "cannot resume stream session from %s (%s);"
-                    " starting fresh", p, exc,
-                )
-        return cls(g, autosave=p, **kwargs)
-
-    @classmethod
     def resume_wal(
         cls, g: CSRGraph, wal_dir, *, wal_fsync: str = "batch", **kwargs
     ) -> "StreamSession":
         """Resume from (or start journaling to) a WAL directory.
 
         ``g`` is the stream's *initial* graph; it seeds a fresh session
-        when the directory is empty.  Otherwise the newest checkpoint's
-        graph + frame archives restore the last snapshotted state and
-        the post-snapshot journal records replay on top — O(snapshot +
-        recent deltas), not O(stream history).  An unreadable checkpoint
-        falls back to a fresh session on ``g`` (with a warning): the
-        journal alone cannot reconstruct state older than its compaction
-        floor.
+        when the directory is empty (warm-started from a forwarded
+        ``layout=`` when one is given).  Otherwise the newest
+        checkpoint's graph + frame archives restore the last snapshotted
+        state — including the staleness counter, so the resumed session
+        makes the same repair/relayout decisions — and the post-snapshot
+        journal records replay on top through :meth:`update` /
+        :meth:`set_constraints`, stopping at the first one that fails.
+        That is O(snapshot + recent deltas), not O(stream history).  An
+        unreadable checkpoint falls back to a fresh session on ``g``
+        (with a warning): the journal alone cannot reconstruct state
+        older than its compaction floor.
         """
         from ..core.serialize import load_layout
         from ..graph.io import load_npz
@@ -389,23 +331,39 @@ class StreamSession:
             wal_dir, fsync=wal_fsync, telemetry=kwargs.get("telemetry")
         )
         replay = log.replay()
-        base_g, layout, records = g, None, []
-        if replay.snapshot is not None:
+        snap = replay.snapshot
+        if snap is not None:
             try:
-                base_g = load_npz(Path(wal_dir) / replay.snapshot["graph"])
-                layout = load_layout(Path(wal_dir) / replay.snapshot["frame"])
-                records = [
-                    r
-                    for r in replay.records
-                    if int(r.get("lsn", 0)) > replay.floor
-                ]
+                base = load_npz(log.dir / snap["graph"])
+                frame = load_layout(log.dir / snap["frame"])
             except (OSError, ValueError, KeyError) as exc:
                 logger.warning(
                     "cannot restore stream checkpoint from %s (%s);"
                     " starting fresh", wal_dir, exc,
                 )
-                base_g, layout, records = g, None, []
-        return cls(base_g, layout=layout, wal=log, _wal_replay=records, **kwargs)
+                snap = None
+            else:
+                g, kwargs["layout"] = base, frame
+        session = cls(g, **kwargs)
+        if snap is not None:
+            session._since_full = int(snap.get("since_full", 0))
+            for record in replay.records:
+                if int(record.get("lsn", 0)) <= replay.floor:
+                    continue
+                try:
+                    session._replay_wal_record(record)
+                except Exception as exc:  # noqa: BLE001 — stop at tear
+                    logger.warning(
+                        "stream WAL replay stopped at lsn %s (%s); the"
+                        " session resumes from the %d updates before it",
+                        record.get("lsn"), exc, session.epoch,
+                    )
+                    break
+        # Attach the log only now, so replayed records are not journaled
+        # again; the checkpoint compacts the records just replayed.
+        session._wal = log
+        session._wal_snapshot()
+        return session
 
     def _replay_wal_record(self, record: dict) -> None:
         rtype = record.get("type")
@@ -421,10 +379,10 @@ class StreamSession:
 
     def _journal(self, record: dict) -> None:
         """Append one record (update ack path); checkpoint on cadence."""
-        if self._wal is None or self._wal_suppress:
+        if self._wal is None:
             return
         self._wal.append(record)
-        if self._wal.appends_since_snapshot >= self._wal_snapshot_every:
+        if self._wal.appends_since_snapshot >= WAL_SNAPSHOT_EVERY:
             self._wal_snapshot()
 
     def _wal_snapshot(self) -> None:
@@ -432,8 +390,6 @@ class StreamSession:
         from ..core.serialize import save_layout
         from ..graph.io import save_npz
 
-        if self._wal is None:
-            return
         floor = self._wal.last_lsn
         frame_name = f"frame-{floor:016d}.npz"
         graph_name = f"graph-{floor:016d}.npz"
@@ -442,7 +398,12 @@ class StreamSession:
             save_layout(self.snapshot_result(), wal_dir / frame_name)
             save_npz(self.graph, wal_dir / graph_name)
             self._wal.snapshot(
-                {"frame": frame_name, "graph": graph_name, "epoch": self.epoch},
+                {
+                    "frame": frame_name,
+                    "graph": graph_name,
+                    "epoch": self.epoch,
+                    "since_full": self._since_full,
+                },
                 floor=floor,
             )
             for old in wal_dir.glob("frame-*.npz"):
@@ -452,16 +413,18 @@ class StreamSession:
                 if old.name < graph_name:
                     old.unlink(missing_ok=True)
         except OSError as exc:
-            # Same contract as autosave: persistence must not kill the
-            # stream it protects (the journal itself is still intact).
-            self.stats["autosave_failures"] += 1
+            # Persistence must not kill the stream it protects (the
+            # journal itself is still intact).  Log once: a broken disk
+            # would otherwise warn on every checkpoint; the counter keeps
+            # later failures observable.
+            self.stats["checkpoint_failures"] += 1
             if self.telemetry is not None:
-                self.telemetry.inc("stream.autosave_failures")
-            if not self._autosave_warned:
-                self._autosave_warned = True
+                self.telemetry.inc("stream.checkpoint_failures")
+            if not self._checkpoint_warned:
+                self._checkpoint_warned = True
                 logger.warning(
                     "stream WAL checkpoint in %s failed: %s (logged once;"
-                    " failures counted in stats['autosave_failures'])",
+                    " failures counted in stats['checkpoint_failures'])",
                     wal_dir, exc,
                 )
 
@@ -616,7 +579,6 @@ class StreamSession:
         self._journal(
             {"type": "constraints", "spec": spec.to_params(), "reason": _reason}
         )
-        self._autosave()
         return StreamUpdate(
             epoch=self.epoch,
             mode="constraint",
@@ -679,43 +641,7 @@ class StreamSession:
         self._journal(
             {"type": "update", "delta": delta.to_json(), "strict": bool(strict)}
         )
-        self._autosave()
         return out
-
-    def _autosave(self) -> bool:
-        """Atomically persist the current frame; ``True`` on success."""
-        path = self.autosave_path
-        if path is None or self._wal_suppress:
-            return False
-        from ..core.serialize import save_layout
-
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=".tmp-", suffix=".npz"
-            )
-            os.close(fd)
-            try:
-                save_layout(self.snapshot_result(), tmp)
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-        except Exception as exc:  # noqa: BLE001 — autosave is best-effort
-            self.stats["autosave_failures"] += 1
-            if self.telemetry is not None:
-                self.telemetry.inc("stream.autosave_failures")
-            if not self._autosave_warned:
-                # Log-once: a broken path would otherwise warn on every
-                # update for the stream's whole lifetime; the counter
-                # keeps the failures observable after the first line.
-                self._autosave_warned = True
-                logger.warning(
-                    "stream autosave to %s failed: %s (logged once; failures"
-                    " counted in stats['autosave_failures'])", path, exc,
-                )
-            return False
-        return True
 
     def snapshot_result(self) -> LayoutResult:
         """The current frame as a :class:`LayoutResult` (serializable)."""

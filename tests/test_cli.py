@@ -279,6 +279,27 @@ def test_stream_wal_journals_and_resumes(tmp_path, capsys):
     assert f"resumed from WAL {wal} (epoch 2)" in captured.err
 
 
+def test_stream_wal_with_layout_journals_and_resumes(tmp_path, capsys):
+    archive = tmp_path / "base.npz"
+    assert main(
+        ["layout", "barth", "--scale", "tiny", "-s", "4",
+         "--save-layout", str(archive)]
+    ) == 0
+    events = tmp_path / "events.txt"
+    events.write_text("+ 0 20\n---\n+ 1 30\n")
+    wal = tmp_path / "wal"
+    argv = ["stream", "barth", str(events), "--scale", "tiny", "-s", "4",
+            "--layout", str(archive), "--wal", str(wal)]
+    capsys.readouterr()
+    # An empty directory warm-starts from the archive and journals.
+    assert main(argv) == 0
+    assert "resumed from WAL" not in capsys.readouterr().err
+    assert any(wal.glob("snapshot-*"))
+    # A directory holding a journal resumes from it instead.
+    assert main(argv) == 0
+    assert f"resumed from WAL {wal} (epoch 2)" in capsys.readouterr().err
+
+
 def test_serve_rejects_bad_wal_fsync():
     with pytest.raises(SystemExit):
         main(["serve", "--wal-fsync", "sometimes"])

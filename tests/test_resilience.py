@@ -698,34 +698,3 @@ class TestGauges:
         t.set_gauge("depth", 7)
         snap = t.snapshot()
         assert snap["gauges"] == {"breakers_open": 1.0, "depth": 7.0}
-
-
-# ---------------------------------------------------------------------------
-# Stream autosave / resume
-# ---------------------------------------------------------------------------
-class TestStreamAutosave:
-    def test_autosave_resume_restores_the_last_frame(
-        self, small_grid, tmp_path
-    ):
-        from repro.stream import StreamSession
-        from repro.stream.delta import edge_delta
-
-        path = tmp_path / "auto.npz"
-        s1 = StreamSession(small_grid, 8, seed=3, autosave=path)
-        assert path.exists()
-        s1.update(edge_delta(inserts=[(0, small_grid.n // 2)]))
-        g2 = s1.graph
-
-        s2 = StreamSession.resume(g2, path, s=8, seed=3)
-        assert s2.epoch == 1
-        assert np.array_equal(s2.coords, s1.coords)
-
-    def test_corrupt_autosave_falls_back_to_fresh(self, small_grid, tmp_path):
-        from repro.stream import StreamSession
-
-        path = tmp_path / "auto.npz"
-        path.write_bytes(b"not an archive")
-        session = StreamSession.resume(small_grid, path, s=8, seed=3)
-        assert session.epoch == 0
-        # The fresh session re-autosaves over the corpse.
-        assert path.stat().st_size > 100

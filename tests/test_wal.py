@@ -29,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import grid2d
+from repro.service import engine as engine_mod
 from repro.service import (
     LayoutEngine,
     LayoutRequest,
@@ -271,8 +272,9 @@ class TestEngineReplay:
             fp2, coords2 = _layout(again)
         assert (fp2, np.array_equal(coords2, coords)) == (fp, True)
 
-    def test_snapshot_compaction_then_restart(self, tmp_path):
-        with _engine(tmp_path, wal_snapshot_every=2) as eng:
+    def test_snapshot_compaction_then_restart(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(engine_mod, "WAL_SNAPSHOT_EVERY", 2)
+        with _engine(tmp_path) as eng:
             self._apply_all(eng)
             assert eng.stats()["wal"]["snapshots"] >= 1
             fp, coords = _layout(eng)
@@ -325,6 +327,51 @@ class TestEngineReplay:
                 )
             # Journal-before-apply: the rejected update changed nothing.
             assert _layout(eng)[0] == before[0]
+
+    def test_replay_touches_no_telemetry(self, tmp_path):
+        with _engine(tmp_path) as eng:
+            self._apply_all(eng)
+            counters = eng.stats()["counters"]
+            assert counters["updates"] == len(self.UPDATES)
+            assert counters["constraints.pin_edits"] == 1
+        with _engine(tmp_path) as replayed:
+            counters = replayed.stats()["counters"]
+            assert replayed.stats()["wal"]["replayed_records"] >= 3
+        # Replay rebuilds state; it is not traffic.
+        assert counters.get("updates", 0) == 0
+        assert "constraints.pin_edits" not in counters
+
+    def test_failed_snapshot_does_not_fail_the_update(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        monkeypatch.setattr(engine_mod, "WAL_SNAPSHOT_EVERY", 1)
+
+        def broken_snapshot(self, payload, *, floor=None):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(WriteAheadLog, "snapshot", broken_snapshot)
+        with caplog.at_level("WARNING", logger="repro.service.engine"):
+            with _engine(tmp_path) as eng:
+                # Applied and journaled before the checkpoint ran, so the
+                # update must be acknowledged rather than invite a retry.
+                for i in range(2):
+                    resp = eng.update(
+                        UpdateRequest(
+                            graph="grid", scale="tiny", inserts=((i, 9 + i),)
+                        )
+                    )
+                    assert resp.epoch == i + 1
+                assert eng.stats()["counters"]["wal.snapshot_errors"] == 2
+        warnings = [
+            r for r in caplog.records if "snapshot failed" in r.getMessage()
+        ]
+        assert len(warnings) == 1
+        monkeypatch.undo()
+        with _engine(tmp_path) as replayed:
+            resp = replayed.update(
+                UpdateRequest(graph="grid", scale="tiny", inserts=((5, 40),))
+            )
+        assert resp.epoch == 3
 
     def test_publish_epoch_survives_restart(self, tmp_path):
         with _engine(tmp_path) as eng:
@@ -391,7 +438,73 @@ class TestStreamWal:
         assert resumed.wal_stats()["replays"] == 1
         resumed.close()
 
-    def test_autosave_warns_once_and_counts(self, tmp_path, monkeypatch, caplog):
+    def test_resume_keeps_repair_relayout_decisions(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.stream.session as session_mod
+        from repro.stream import StreamPolicy, StreamSession, edge_delta
+
+        # Diagonal shortcuts on a 12x12 grid give a mix of drift
+        # relayouts, repairs and staleness relayouts.
+        policy = StreamPolicy(staleness_limit=5)
+        deltas = [edge_delta(inserts=[(i, i + 13)]) for i in range(20)]
+        control = StreamSession(grid2d(12, 12), 6, policy=policy)
+        expected = [control.update(d) for d in deltas]
+        assert {u.reason for u in expected} >= {"repair", "staleness"}
+
+        # Checkpoints land after updates 3, 6 and 9; the last one is
+        # mid-way through a run of repairs, and one record follows it.
+        monkeypatch.setattr(session_mod, "WAL_SNAPSHOT_EVERY", 3)
+        wal = str(tmp_path / "w")
+        writer = StreamSession(grid2d(12, 12), 6, policy=policy, wal=wal)
+        for d in deltas[:10]:
+            writer.update(d)
+        writer.close()
+        resumed = StreamSession.resume_wal(grid2d(12, 12), wal, policy=policy)
+        assert resumed.epoch == 10
+        for want, d in zip(expected[10:], deltas[10:]):
+            got = resumed.update(d)
+            assert (got.mode, got.reason) == (want.mode, want.reason)
+            assert np.allclose(got.coords, want.coords, atol=1e-12)
+        resumed.close()
+
+    def test_corrupt_checkpoint_falls_back_to_fresh(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        import repro.stream.session as session_mod
+        from repro.stream import StreamSession
+
+        # Checkpoint after every update, so the newest one holds an
+        # edited graph.
+        monkeypatch.setattr(session_mod, "WAL_SNAPSHOT_EVERY", 1)
+        wal = tmp_path / "w"
+        session = StreamSession(grid2d(8, 8), 6, seed=1, wal=str(wal))
+        for delta in self._deltas():
+            session.update(delta)
+        session.close()
+        for frame in wal.glob("frame-*.npz"):
+            frame.write_bytes(b"not an archive")
+        with caplog.at_level("WARNING", logger="repro.stream.session"):
+            resumed = StreamSession.resume_wal(
+                grid2d(8, 8), str(wal), s=6, seed=1
+            )
+            # Fresh means the initial graph, not the checkpoint's.
+            assert resumed.epoch == 0
+            assert np.array_equal(resumed.graph.indices, grid2d(8, 8).indices)
+            resumed.close()
+            # The fresh session checkpointed over the corpse, so the
+            # next resume restores it without a warning.
+            again = StreamSession.resume_wal(grid2d(8, 8), str(wal))
+            again.close()
+        warnings = [
+            r for r in caplog.records if "checkpoint" in r.getMessage()
+        ]
+        assert len(warnings) == 1
+
+    def test_checkpoint_failure_warns_once_and_counts(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        import repro.stream.session as session_mod
         from repro.core import serialize
         from repro.stream import StreamSession, edge_delta
 
@@ -399,18 +512,19 @@ class TestStreamWal:
             raise OSError("disk full")
 
         monkeypatch.setattr(serialize, "save_layout", broken)
+        monkeypatch.setattr(session_mod, "WAL_SNAPSHOT_EVERY", 1)
         with caplog.at_level("WARNING", logger="repro.stream.session"):
             session = StreamSession(
-                grid2d(8, 8), 6, seed=1,
-                autosave=str(tmp_path / "auto.npz"),
+                grid2d(8, 8), 6, seed=1, wal=str(tmp_path / "w")
             )
             for i in range(3):
                 session.update(edge_delta(inserts=[(0, 20 + i)]))
-        assert session.stats["autosave_failures"] >= 3
+        assert session.stats["checkpoint_failures"] == 4
         warnings = [
-            r for r in caplog.records if "autosave" in r.getMessage()
+            r for r in caplog.records if "checkpoint" in r.getMessage()
         ]
         assert len(warnings) == 1  # log-once; the counter does the rest
+        session.close()
 
 
 # ---------------------------------------------------------------------------

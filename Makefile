@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-fast serve-smoke stream-smoke check-smoke chaos-smoke cluster-smoke lod-smoke kernels-smoke constraints-smoke wal-smoke examples results clean
+.PHONY: install test bench bench-fast serve-smoke stream-smoke check-smoke chaos-smoke cluster-smoke lod-smoke kernels-smoke constraints-smoke wal-smoke perfbench-selftest examples results clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -71,6 +71,13 @@ constraints-smoke:
 # bytes quarantined and counted.
 wal-smoke:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) scripts/wal_smoke.py
+
+# Wall-clock benchmark self-tests (~1 min): every workload runs briefly
+# at tiny scale, traced, so a refactor that renames a method the span
+# hooks wrap (engine submit/drain, router layout/update, layout_payload,
+# send_msg/recv_msg) fails here instead of in the benchmark.
+perfbench-selftest:
+	$(PYTHON) -m pytest perfbench -q
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

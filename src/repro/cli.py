@@ -306,14 +306,6 @@ def main(argv: list[str] | None = None) -> int:
         " 'lod' always works regardless; see docs/lod.md)",
     )
     p_serve.add_argument(
-        "--placement",
-        default="hash",
-        choices=("hash", "lpt"),
-        help="cluster routing policy (--workers N only): consistent"
-        " hashing, or sticky size-balanced LPT placement fed by observed"
-        " request latencies (see docs/cluster.md)",
-    )
-    p_serve.add_argument(
         "--drain-timeout",
         type=float,
         default=10.0,
@@ -706,7 +698,16 @@ def _serve(args) -> int:
         print("--workers must be >= 0", file=sys.stderr)
         return 2
 
-    from .service import make_server
+    from .service import BadRequest, make_server
+    from .service.http import parse_lod_value
+
+    # Checked here rather than in the engine so a bad --lod reads the
+    # same in both modes (a cluster worker would only fail to start).
+    try:
+        parse_lod_value(args.lod)
+    except BadRequest as exc:
+        print(f"--lod: {exc}", file=sys.stderr)
+        return 2
 
     cache = None
     engine = None
@@ -743,7 +744,6 @@ def _serve(args) -> int:
             cache_mb=args.cache_mb,
             cache_dir=args.cache_dir,
             resilience=args.resilience,
-            placement=args.placement,
             lod=args.lod,
             wal_dir=args.wal,
             wal_fsync=args.wal_fsync,
@@ -754,10 +754,7 @@ def _serve(args) -> int:
             file=sys.stderr,
         )
         router.start()
-        mode = (
-            f"{args.workers} worker processes, threads={args.threads}/worker"
-            + (f", placement={args.placement}" if args.placement != "hash" else "")
-        )
+        mode = f"{args.workers} worker processes, threads={args.threads}/worker"
     server = make_server(
         engine if router is None else router,
         host=args.host,

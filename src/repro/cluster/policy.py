@@ -20,28 +20,22 @@ resharding for?".
 ``compare_policies`` is exercised by ``benchmarks/
 bench_cluster_scaling.py`` and the examples in ``docs/cluster.md``.
 
-:class:`LivePlacement` closes the loop: the LPT heuristic the analytic
-comparison priced, running *inside* the live router
-(``ClusterRouter(placement="lpt")`` / ``parhde serve --placement lpt``).
-It keeps the property routing must never lose — **sticky affinity**, a
-key stays on its assigned worker so epoch invalidation remains correct —
-and applies LPT only where it is free: when a key is seen for the first
-time, and when a worker death forces reassignment anyway.  Per-key costs
-are EWMA-estimated from observed response latencies, so the placement
-gets better as the workload reveals itself.
+The comparison is a model result only: the live router always routes on
+the ring.  A key must return to its ring owner after a worker respawns,
+because that owner's write-ahead log holds the graph's acknowledged
+updates; a sticky size-balanced table would pin the key to whichever
+survivor took it during the outage and strand the replayed state.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from ..parallel.costs import Ledger
 from ..parallel.machine import MachineSpec, shard_times
 from .ring import HashRing
 
 __all__ = [
-    "LivePlacement",
     "balanced_assignment",
     "compare_policies",
     "hash_assignment",
@@ -147,130 +141,3 @@ def compare_policies(
         ),
     }
 
-
-class LivePlacement:
-    """Sticky size-balanced (LPT) placement for the live router.
-
-    A routing table ``key -> worker`` built greedily: a key seen for the
-    first time goes to the least-loaded live worker; after that it
-    *stays* there (graph affinity — the worker holding a graph's epoch
-    state must keep receiving its updates and layouts).  When a worker
-    dies, only its keys move: they are reassigned heaviest-first onto
-    the least-loaded survivors — the LPT heuristic
-    (:func:`balanced_assignment`) applied at exactly the moments
-    reassignment is forced anyway.
-
-    Load is the sum of per-key cost estimates, EWMA-updated from the
-    observed ``elapsed_seconds`` of real responses via :meth:`observe`.
-    Before a key's first observation it costs ``default_cost``, so a
-    cold table degenerates to round-robin-by-count — already better
-    balanced than hashing.
-
-    Thread-safe; the router calls into it under load from handler
-    threads and the heartbeat monitor.
-    """
-
-    def __init__(self, *, default_cost: float = 1.0, ewma: float = 0.3):
-        if not 0.0 < ewma <= 1.0:
-            raise ValueError(f"ewma must be in (0, 1], got {ewma}")
-        self._default = float(default_cost)
-        self._ewma = float(ewma)
-        self._lock = threading.Lock()
-        self._table: dict[str, int] = {}  # key -> worker id
-        self._cost: dict[str, float] = {}  # key -> EWMA seconds
-        self._load: dict[int, float] = {}  # worker id -> summed cost
-
-    # -- membership ---------------------------------------------------------
-    def add_worker(self, worker_id: int) -> None:
-        with self._lock:
-            self._load.setdefault(int(worker_id), 0.0)
-
-    def evict_worker(self, worker_id: int, live: Iterable[int]) -> dict[str, int]:
-        """Remove a dead worker and LPT-reassign its keys to survivors.
-
-        Returns the moved ``key -> new worker`` mapping (empty when the
-        worker held nothing or no survivor exists — then the keys are
-        simply dropped from the table and will be re-placed on next
-        sight).
-        """
-        worker_id = int(worker_id)
-        live_ids = [int(w) for w in live if int(w) != worker_id]
-        with self._lock:
-            self._load.pop(worker_id, None)
-            orphans = [k for k, w in self._table.items() if w == worker_id]
-            for key in orphans:
-                del self._table[key]
-            if not live_ids:
-                return {}
-            for w in live_ids:
-                self._load.setdefault(w, 0.0)
-            moved: dict[str, int] = {}
-            # Heaviest-first onto the lightest survivor: classic LPT.
-            orphans.sort(key=lambda k: self._cost.get(k, self._default), reverse=True)
-            for key in orphans:
-                target = min(live_ids, key=lambda w: self._load.get(w, 0.0))
-                self._table[key] = target
-                self._load[target] = self._load.get(target, 0.0) + self._cost.get(
-                    key, self._default
-                )
-                moved[key] = target
-            return moved
-
-    # -- routing ------------------------------------------------------------
-    def assign(self, key: str, live: Iterable[int]) -> int:
-        """Worker for ``key``: the sticky assignment, or a fresh LPT pick.
-
-        ``live`` is the current set of healthy workers; a sticky
-        assignment pointing at a worker no longer in it is re-placed
-        (covers races where eviction has not run yet).  Raises
-        ``LookupError`` when no live worker exists.
-        """
-        live_ids = [int(w) for w in live]
-        if not live_ids:
-            raise LookupError("no live workers to place onto")
-        with self._lock:
-            worker = self._table.get(key)
-            if worker is not None and worker in live_ids:
-                return worker
-            for w in live_ids:
-                self._load.setdefault(w, 0.0)
-            target = min(live_ids, key=lambda w: self._load.get(w, 0.0))
-            self._table[key] = target
-            self._load[target] = self._load.get(target, 0.0) + self._cost.get(
-                key, self._default
-            )
-            return target
-
-    def peek(self, key: str) -> int | None:
-        """Current assignment without placing (ops/tests)."""
-        with self._lock:
-            return self._table.get(key)
-
-    # -- cost feedback ------------------------------------------------------
-    def observe(self, key: str, seconds: float) -> None:
-        """Fold one observed request latency into the key's cost estimate."""
-        seconds = float(seconds)
-        if seconds <= 0:
-            return
-        with self._lock:
-            worker = self._table.get(key)
-            old = self._cost.get(key, self._default)
-            new = (1.0 - self._ewma) * old + self._ewma * seconds
-            self._cost[key] = new
-            if worker is not None and worker in self._load:
-                self._load[worker] += new - old
-
-    def snapshot(self) -> dict:
-        """Stats payload: per-worker load and key counts."""
-        with self._lock:
-            keys_per_worker: dict[str, int] = {}
-            for worker in self._table.values():
-                keys_per_worker[str(worker)] = (
-                    keys_per_worker.get(str(worker), 0) + 1
-                )
-            return {
-                "policy": "lpt",
-                "keys": len(self._table),
-                "load": {str(w): round(l, 6) for w, l in self._load.items()},
-                "keys_per_worker": keys_per_worker,
-            }

@@ -60,7 +60,6 @@ from ..service.engine import (
 )
 from ..service.fingerprint import canonical_params
 from ..service.singleflight import SingleFlight
-from .policy import LivePlacement
 from .protocol import ProtocolError, recv_msg, send_msg
 from .ring import HashRing, graph_key
 from .worker import WorkerConfig, worker_main
@@ -230,12 +229,6 @@ class ClusterRouter:
         keeps workers volatile.  See ``docs/wal.md``.
     start_timeout:
         Seconds to wait for a spawned worker to report ready.
-    placement:
-        ``"hash"`` (default) routes on the consistent-hash ring;
-        ``"lpt"`` routes through :class:`~repro.cluster.policy.
-        LivePlacement` — sticky size-balanced placement with LPT
-        reassignment on worker death (the ring stays maintained as the
-        fallback when the placement has no live worker to offer).
     lod / lod_opts:
         Per-worker progressive-LOD default mode and
         :class:`~repro.lod.LodConfig` knob overrides (dict); forwarded
@@ -265,7 +258,6 @@ class ClusterRouter:
         start_timeout: float = 60.0,
         telemetry: Telemetry | None = None,
         chaos_sites: Iterable[dict] = (),
-        placement: str = "hash",
         lod: str | float | None = None,
         lod_opts: dict | None = None,
         wal_dir: str | None = None,
@@ -273,10 +265,6 @@ class ClusterRouter:
     ):
         if workers < 1:
             raise ValueError(f"cluster needs >= 1 worker, got {workers}")
-        if placement not in ("hash", "lpt"):
-            raise ValueError(
-                f"placement must be 'hash' or 'lpt', got {placement!r}"
-            )
         self.timeout = timeout
         self.restart = restart
         self.restart_backoff = max(0.0, float(restart_backoff))
@@ -293,7 +281,6 @@ class ClusterRouter:
         )
         self._ctx = mp.get_context("spawn")
         self._ring = HashRing(vnodes)
-        self._placement = LivePlacement() if placement == "lpt" else None
         self._lock = threading.Lock()  # guards ring + worker state flips
         self._flights = SingleFlight()
         self._draining = False
@@ -372,8 +359,6 @@ class ClusterRouter:
         with self._lock:
             worker.state = "up"
             self._ring.add(worker.id)
-            if self._placement is not None:
-                self._placement.add_worker(worker.id)
 
     def close(self) -> None:
         """Stop the monitor and shut every worker down (best effort)."""
@@ -450,14 +435,6 @@ class ClusterRouter:
                 return
             worker.state = "dead"
             self._ring.remove(worker.id)
-            if self._placement is not None:
-                # Eager LPT reassignment: the dead worker's keys move
-                # heaviest-first onto the least-loaded survivors now,
-                # instead of one by one as requests trickle in.
-                live = [
-                    w.id for w in self._workers.values() if w.state == "up"
-                ]
-                self._placement.evict_worker(worker.id, live)
         self.telemetry.inc("router.worker_deaths")
         self._breakers.record(f"worker:{worker.id}", False)
         worker.close_idle()
@@ -557,21 +534,6 @@ class ClusterRouter:
             }
         )
 
-    def _owner_locked(self, route_key: str) -> int:
-        """Owning worker id for a route key (caller holds ``self._lock``).
-
-        LPT placement when enabled, consistent hashing otherwise; falls
-        back to the ring if the placement table has no live worker to
-        offer (races around membership changes).
-        """
-        if self._placement is not None:
-            live = [w.id for w in self._workers.values() if w.state == "up"]
-            try:
-                return self._placement.assign(route_key, live)
-            except LookupError:
-                pass
-        return self._ring.owner(route_key)
-
     def _check_open(self, counter: str) -> None:
         self.telemetry.inc(counter)
         if self._draining:
@@ -597,11 +559,6 @@ class ClusterRouter:
                 raise
             self._flights.finish(key, result)
             payload = dict(result)
-            if self._placement is not None:
-                self._placement.observe(
-                    self._route_key(doc),
-                    float(payload.get("elapsed_seconds") or 0.0),
-                )
         else:
             self.telemetry.inc("router.coalesced")
             budget = float(doc.get("timeout") or self.timeout) + 5.0
@@ -637,7 +594,7 @@ class ClusterRouter:
             with self._lock:
                 if not len(self._ring):
                     break
-                worker = self._workers[self._owner_locked(route_key)]
+                worker = self._workers[self._ring.owner(route_key)]
             try:
                 reply = worker.request({"op": op, "body": body}, budget)
             except (OSError, ProtocolError) as exc:
@@ -688,16 +645,10 @@ class ClusterRouter:
                 "vnodes": self._ring.vnodes,
             }
         workers = self.worker_stats()
-        placement = (
-            self._placement.snapshot()
-            if self._placement is not None
-            else {"policy": "hash"}
-        )
         return {
             "mode": "cluster",
             "router": snap,
             "ring": ring,
-            "placement": placement,
             "workers": workers,
             "aggregate": _aggregate(workers, snap),
             "draining": self._draining,
@@ -751,10 +702,6 @@ class ClusterRouter:
         """Worker id currently owning a named graph (tests, ops tooling)."""
         key = graph_key(name, scale, seed)
         with self._lock:
-            if self._placement is not None:
-                sticky = self._placement.peek(key)
-                if sticky is not None:
-                    return sticky
             return self._ring.owner(key)
 
     def arm_chaos(self, worker_id: int, site: str, **spec) -> dict:

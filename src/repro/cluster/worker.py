@@ -84,9 +84,11 @@ class WorkerConfig:
     validation: str | None = None
     host: str = "127.0.0.1"
     #: Per-worker write-ahead-log directory (``None`` = volatile).  Like
-    #: ``cache_dir`` this is the worker's *own* subdir; records inside
-    #: are keyed by graph identity, not worker id, so resharding after a
-    #: death replays cleanly wherever the keys land.
+    #: ``cache_dir`` this is the worker's *own* subdir and only this
+    #: worker replays it: a respawn restores the post-update epochs
+    #: because the ring routes the keys back to this worker.  Updates a
+    #: ring successor acknowledged during the outage are in the
+    #: successor's journal, not this one.
     wal_dir: str | None = None
     wal_fsync: str = "batch"
     #: Default progressive-LOD mode (``None``/``"off"``/``"auto"``/budget

@@ -56,6 +56,7 @@ from ..service.engine import (
     ValidationFailed,
 )
 from ..service.fingerprint import canonical_params, layout_fingerprint
+from ..service.http import parse_lod_value
 from .hierarchy import LodHierarchy, build_lod_hierarchy, tier_name
 
 __all__ = [
@@ -123,32 +124,24 @@ class LodConfig:
     def parse(cls, value: "LodConfig | str | float | bool | None") -> "LodConfig | None":
         """Coerce a user-facing ``lod`` value to a config (or ``None``).
 
+        The grammar is :func:`repro.service.http.parse_lod_value`'s, so
+        the wire and the library accept exactly the same values:
         ``None`` / ``False`` / ``"off"`` disable LOD; ``True`` /
         ``"auto"`` mean coarsest-first; a number (or numeric string) is
-        a first-paint budget in milliseconds.
+        a first-paint budget in milliseconds.  Anything else raises
+        ``ValueError``.
         """
-        if value is None or value is False or value == "off":
-            return None
-        if value is True or value == "auto":
-            return cls()
         if isinstance(value, cls):
             return value
-        if isinstance(value, str):
-            try:
-                value = float(value)
-            except ValueError:
-                raise ValueError(
-                    f"lod must be 'off', 'auto' or a budget in"
-                    f" milliseconds, got {value!r}"
-                ) from None
-        if isinstance(value, (int, float)):
-            budget = float(value)
-            if not math.isfinite(budget) or budget <= 0:
-                raise ValueError(
-                    f"lod budget must be finite and > 0 ms, got {budget!r}"
-                )
-            return cls(mode="budget", budget_ms=budget)
-        raise ValueError(f"cannot interpret lod value {value!r}")
+        try:
+            mode = parse_lod_value(value)
+        except BadRequest as exc:
+            raise ValueError(str(exc)) from None
+        if mode is None or mode == "off":
+            return None
+        if mode == "auto":
+            return cls()
+        return cls(mode="budget", budget_ms=mode)
 
 
 @dataclass
@@ -394,9 +387,9 @@ class ProgressiveEngine:
     ):
         self.engine = engine
         self.config = config if config is not None else LodConfig()
-        # Validate the default eagerly so `serve --lod junk` fails at
-        # startup, not on the first request.
-        self._default = LodConfig.parse(lod) if not isinstance(lod, LodConfig) else lod
+        # Validate the default eagerly so a bad one fails here, not on
+        # the first request.
+        self._default = LodConfig.parse(lod)
         if self._default is not None and config is not None:
             self._default = replace(
                 config, mode=self._default.mode, budget_ms=self._default.budget_ms
@@ -508,18 +501,18 @@ class ProgressiveEngine:
     ) -> LayoutResponse:
         eng = self.engine
         tel = self.telemetry
-        g, digest, name, epoch, content = eng.resolve_versioned(request)
-        kwargs = eng._validate(request, g, eng._state_pins(request))
+        resolved = eng.resolve_request(request)
+        g, digest, name, epoch, content, kwargs = resolved
         if g.n < cfg.min_vertices:
             tel.inc("lod.bypass_small")
-            return eng._serve(request, t0)
+            return eng._serve(request, t0, resolved)
         if "constraints" in kwargs:
             # Pins/masses/region address finest vertex ids; prolonging
             # them through the hierarchy would only approximately honor
             # them.  Constrained requests get the exact (and warm-
             # restartable) direct path.
             tel.inc("lod.bypass_constrained")
-            return eng._serve(request, t0)
+            return eng._serve(request, t0, resolved)
         fingerprint = layout_fingerprint(
             digest, request.algorithm, kwargs, epoch=epoch
         )
@@ -549,7 +542,7 @@ class ProgressiveEngine:
             # nothing progressive to serve — fall through to the plain
             # path, which also handles single-flight and caching.
             tel.inc("lod.flat_hierarchy")
-            return eng._serve(request, t0)
+            return eng._serve(request, t0, resolved)
 
         reckey = f"{request.algorithm}\x1f{canonical_params(kwargs)}"
         rec = state.record(reckey)
@@ -563,7 +556,7 @@ class ProgressiveEngine:
                 return respond(rec.best, "lod-hit", rec.best_fp or fingerprint)
             depth = self._choose_depth(state.hierarchy, cfg, kwargs)
             if depth == 0:
-                return eng._serve(request, t0)
+                return eng._serve(request, t0, resolved)
             frames = self._frames(request, cfg, state, g, kwargs, depth)
             t_paint = time.perf_counter()
             try:

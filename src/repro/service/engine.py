@@ -547,7 +547,7 @@ class LayoutEngine:
                 raise Overloaded(
                     "engine is draining; not accepting new requests"
                 )
-            response = self._serve(request, t0)
+            response = self._serve(request, t0, self.resolve_request(request))
         except ServiceError as exc:
             self.telemetry.inc(f"errors.{exc.code}")
             raise
@@ -936,13 +936,6 @@ class LayoutEngine:
                     state.wal_lsn = lsn
         return winner
 
-    def _resolve_graph(
-        self, request: LayoutRequest
-    ) -> tuple[CSRGraph, str, str, int]:
-        """Return ``(graph, digest, display_name, epoch)`` for a request."""
-        g, digest, name, epoch, _ = self.resolve_versioned(request)
-        return g, digest, name, epoch
-
     def resolve_versioned(
         self, request: LayoutRequest
     ) -> tuple[CSRGraph, str, str, int, int]:
@@ -1200,9 +1193,21 @@ class LayoutEngine:
             **kwargs,
         )
 
-    def _serve(self, request: LayoutRequest, t0: float) -> LayoutResponse:
+    def resolve_request(
+        self, request: LayoutRequest
+    ) -> tuple[CSRGraph, str, str, int, int, dict[str, Any]]:
+        """:meth:`resolve_versioned` plus the validated compute kwargs."""
         g, digest, name, epoch, content = self.resolve_versioned(request)
         kwargs = self._validate(request, g, self._state_pins(request))
+        return g, digest, name, epoch, content, kwargs
+
+    def _serve(
+        self, request: LayoutRequest, t0: float, resolved: tuple
+    ) -> LayoutResponse:
+        # ``resolved`` comes from resolve_request(); the progressive
+        # engine's bypasses pass the one they already hold, so a request
+        # is snapshotted, validated and counted once.
+        g, digest, name, epoch, content, kwargs = resolved
         fingerprint = layout_fingerprint(
             digest, request.algorithm, kwargs, epoch=epoch
         )

@@ -37,9 +37,8 @@ control, or sharding + cluster-wide coalescing).  Routes:
     probes parse one schema in both modes.
 ``GET /stats``
     The backend's snapshot as JSON (telemetry + cache + pool in
-    process; router / ring / placement / workers / aggregate sections
-    in cluster mode), or an aligned plain-text page with
-    ``?format=text``.
+    process; router / ring / workers / aggregate sections in cluster
+    mode), or an aligned plain-text page with ``?format=text``.
 
 Errors come back as ``{"error": <code>, "message": <detail>}`` with the
 status mapped by :func:`error_response` from the

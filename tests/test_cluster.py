@@ -30,7 +30,6 @@ from repro.cluster import (
     recv_msg,
     send_msg,
 )
-from repro.cluster.policy import LivePlacement
 from repro.resilience import is_lod_tier, tier_rank
 from repro.parallel import shard_times
 from repro.parallel.machine import BRIDGES_RSM
@@ -426,64 +425,7 @@ class TestDrainAndLifecycle:
 
 
 # ---------------------------------------------------------------------------
-# live LPT placement
-# ---------------------------------------------------------------------------
-
-
-class TestLivePlacement:
-    def test_sticky_assignment(self):
-        lp = LivePlacement()
-        lp.add_worker(0)
-        lp.add_worker(1)
-        first = lp.assign("g1", live=[0, 1])
-        for _ in range(5):
-            assert lp.assign("g1", live=[0, 1]) == first
-
-    def test_cold_table_balances_by_count(self):
-        lp = LivePlacement()
-        owners = [lp.assign(f"g{i}", live=[0, 1, 2]) for i in range(9)]
-        counts = {w: owners.count(w) for w in (0, 1, 2)}
-        assert all(c == 3 for c in counts.values())
-
-    def test_observe_steers_new_keys_away_from_hot_worker(self):
-        lp = LivePlacement()
-        a = lp.assign("hot", live=[0, 1])
-        lp.observe("hot", 100.0)  # this key turned out to be expensive
-        b = lp.assign("cold", live=[0, 1])
-        assert b != a
-        snap = lp.snapshot()
-        assert snap["policy"] == "lpt"
-        assert snap["load"][str(a)] > snap["load"][str(b)]
-
-    def test_evict_reassigns_heaviest_first(self):
-        lp = LivePlacement()
-        for key, cost in (("big", 8.0), ("mid", 4.0), ("small", 1.0)):
-            assert lp.assign(key, live=[0]) == 0
-            lp.observe(key, cost)
-        lp.add_worker(1)
-        lp.add_worker(2)
-        moved = lp.evict_worker(0, live=[0, 1, 2])
-        assert set(moved) == {"big", "mid", "small"}
-        # LPT: big and mid land on different survivors; small joins mid.
-        assert moved["big"] != moved["mid"]
-        for key, target in moved.items():
-            assert lp.peek(key) == target
-        assert lp.snapshot()["load"].get("0") is None
-
-    def test_no_live_workers_raises(self):
-        lp = LivePlacement()
-        with pytest.raises(LookupError):
-            lp.assign("g", live=[])
-
-    def test_stale_sticky_entry_replaced(self):
-        lp = LivePlacement()
-        assert lp.assign("g", live=[0]) == 0
-        # Worker 0 vanished without an evict (race): assign must re-place.
-        assert lp.assign("g", live=[1, 2]) in (1, 2)
-
-
-# ---------------------------------------------------------------------------
-# progressive LOD + LPT over the live cluster
+# progressive LOD over the live cluster
 # ---------------------------------------------------------------------------
 
 _LOD_OPTS = {"min_vertices": 1, "coarsest_size": 64, "refine_sweeps": 1}
@@ -497,7 +439,6 @@ def lod_cluster():
         timeout=60.0,
         cache_mb=32.0,
         heartbeat_interval=0.2,
-        placement="lpt",
         lod_opts=_LOD_OPTS,
     ).start()
     yield router
@@ -593,10 +534,10 @@ class TestLodCluster:
             {"graph": "barth", **TINY, "include_coords": False}
         )
         stats = lod_cluster.stats()
-        assert stats["placement"]["policy"] == "lpt"
-        assert stats["placement"]["keys"] >= 1
-        assert set(stats["placement"]["load"]) == {"0", "1"}
-        # Sticky affinity: the owner never changes between requests.
+        # The ring is the only placement: no second routing table.
+        assert "placement" not in stats
+        assert stats["ring"]["workers"] == 2
+        # Affinity: the ring owner never changes between requests.
         owner = lod_cluster.owner_of("barth", "tiny", 0)
         for _ in range(3):
             lod_cluster.layout(

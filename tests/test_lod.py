@@ -379,6 +379,41 @@ class TestProgressiveEngine:
         finally:
             e.close()
 
+    @pytest.mark.parametrize(
+        "config, bypass",
+        [
+            (LodConfig(min_vertices=10_000), "lod.bypass_small"),
+            (_LOD_CFG, "lod.bypass_constrained"),
+        ],
+    )
+    def test_bypass_resolves_and_validates_once(self, config, bypass):
+        # A request the LOD path hands back to the plain engine must be
+        # validated once: its per-request counters match lod=None's.
+        params = {
+            "pins": [[3, [0.1, 0.1]]],
+            "kernels": {"traversal": "batched"},
+        }
+        counts = {}
+        for lod in (None, "auto"):
+            e = ProgressiveEngine(
+                LayoutEngine(graph_loader=_grid_loader, workers=1),
+                config=config,
+            )
+            try:
+                e.submit(
+                    LayoutRequest(graph="grid", s=6, params=params, lod=lod)
+                )
+                c = e.stats()["counters"]
+                counts[lod] = (
+                    c.get("constraints.requests"),
+                    c.get("kernels.traversal.batched"),
+                    c.get(bypass),
+                )
+            finally:
+                e.close()
+        assert counts[None] == (1, 1, None)
+        assert counts["auto"] == (1, 1, 1)
+
     def test_lod_off_by_default(self, eng):
         resp = eng.submit(LayoutRequest(graph="grid", s=6))
         assert resp.result.quality_tier == "full"

@@ -14,8 +14,9 @@ record streams and byte-level damage:
 
 Plus the concrete crash-shaped cases: torn-tail quarantine, journal
 -before-apply (a failed append mutates nothing), engine and stream
-restarts bitwise-equal to an uninterrupted control, and the cluster
-monitor's capped exponential respawn backoff.
+restarts bitwise-equal to an uninterrupted control, the cluster
+monitor's capped exponential respawn backoff, and a SIGKILLed cluster
+owner that respawns, replays its journal and gets its keys back.
 """
 
 from __future__ import annotations
@@ -568,3 +569,44 @@ class TestRespawnBackoff:
         router._respawn(worker)
         assert worker.restart_failures == 0
         assert worker.next_restart_at == 0.0
+
+
+# ---------------------------------------------------------------------------
+# cluster: a respawned owner replays its journal and gets its keys back
+
+
+class TestClusterWalRespawn:
+    def test_respawned_owner_serves_post_update_epochs(self, tmp_path):
+        import signal
+        import time
+
+        from repro.cluster import ClusterRouter
+
+        graph = {"graph": "barth", "scale": "tiny", "seed": 0}
+        router = ClusterRouter(
+            2,
+            compute_threads=1,
+            cache_mb=16.0,
+            heartbeat_interval=0.2,
+            wal_dir=str(tmp_path / "wal"),
+        ).start()
+        try:
+            for i in range(3):
+                up = router.update(
+                    {**graph, "inserts": [[0, 10 + 2 * i], [1, 11 + 2 * i]]}
+                )
+                assert up["epoch"] == i + 1
+            owner = router.owner_of("barth", "tiny", 0)
+            restarts = router.telemetry.counter("router.restarts")
+            os.kill(router._workers[owner].process.pid, signal.SIGKILL)
+            deadline = time.monotonic() + 60
+            while restarts.value < 1 or router.alive_workers < 2:
+                assert time.monotonic() < deadline, "owner never respawned"
+                time.sleep(0.1)
+            # The key returns to its ring owner, whose journal holds the
+            # three acknowledged updates: the next one is epoch 4.
+            assert router.owner_of("barth", "tiny", 0) == owner
+            up = router.update({**graph, "inserts": [[0, 16], [1, 17]]})
+            assert up["epoch"] == 4
+        finally:
+            router.close()

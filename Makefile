@@ -85,8 +85,15 @@ bench:
 bench-fast:
 	REPRO_BENCH_SCALE=small $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
+# Run every example with its default arguments from inside
+# EXAMPLES_OUT, where their PNG/HTML outputs land (~75 s on 2 cores).
+EXAMPLES_OUT ?= /tmp/repro-examples
+
 examples:
-	@for ex in examples/*.py; do echo "== $$ex"; $(PYTHON) $$ex /tmp/repro-examples || exit 1; done
+	@mkdir -p $(EXAMPLES_OUT)
+	@for ex in examples/*.py; do echo "== $$ex"; \
+	  (cd $(EXAMPLES_OUT) && PYTHONPATH=$(CURDIR)/src$${PYTHONPATH:+:$$PYTHONPATH} \
+	    $(PYTHON) $(CURDIR)/$$ex) || exit 1; done
 
 results:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt

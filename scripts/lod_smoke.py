@@ -28,7 +28,7 @@ import urllib.request
 from repro.graph import grid2d, preprocess
 from repro.lod import ProgressiveEngine
 from repro.resilience import is_lod_tier, tier_rank
-from repro.service import LayoutEngine, make_server
+from repro.service import make_server
 
 ROWS, COLS = 400, 375  # 150k vertices
 BODY = {"graph": "biggrid", "s": 8, "seed": 0, "lod": "auto",
@@ -60,9 +60,7 @@ def _get(url: str, route: str) -> dict:
 
 
 def main() -> int:
-    engine = ProgressiveEngine(
-        LayoutEngine(graph_loader=_loader, workers=2, timeout=600),
-    )
+    engine = ProgressiveEngine(graph_loader=_loader, workers=2, timeout=600)
     server = make_server(engine, port=0).start()
     url = server.url
     failures: list[str] = []

@@ -709,27 +709,20 @@ def _serve(args) -> int:
         print(f"--lod: {exc}", file=sys.stderr)
         return 2
 
-    cache = None
     engine = None
     router = None
     if args.workers == 0:
-        from .lod import ProgressiveEngine
-        from .service import LayoutCache, LayoutEngine
+        from .lod import serving_engine
 
-        cache = LayoutCache(
-            max_bytes=int(args.cache_mb * 1024 * 1024),
-            disk_dir=args.cache_dir,
-        )
-        engine = ProgressiveEngine(
-            LayoutEngine(
-                cache=cache,
-                workers=args.threads,
-                queue_limit=args.queue_depth,
-                timeout=args.timeout,
-                resilience=True if args.resilience else None,
-                wal_dir=args.wal,
-                wal_fsync=args.wal_fsync,
-            ),
+        engine = serving_engine(
+            threads=args.threads,
+            queue_limit=args.queue_depth,
+            timeout=args.timeout,
+            cache_mb=args.cache_mb,
+            cache_dir=args.cache_dir,
+            resilience=args.resilience,
+            wal_dir=args.wal,
+            wal_fsync=args.wal_fsync,
             lod=args.lod,
         )
         mode = f"single-process, threads={args.threads}"
@@ -802,7 +795,7 @@ def _serve(args) -> int:
     # every worker engine and close() tears the processes down.
     print("draining: refusing new work", file=sys.stderr)
     clean = server.drain(args.drain_timeout)
-    flushed = cache.flush() if cache is not None else None
+    flushed = engine.cache.flush() if engine is not None else None
     server.shutdown()
     if engine is not None:
         engine.close()

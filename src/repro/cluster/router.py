@@ -19,21 +19,24 @@ the in-process engine exposes.  A request travels:
 3. **Retry** — a transport failure (dead worker, torn connection) marks
    the worker down, removes it from the ring and retries the request on
    the new owner — the ring successor — transparently to the client.
-   Application errors (400/503/504 from the worker engine) are relayed,
-   never retried.
+   With a ``wal_dir`` the dead worker keeps its ring points instead: its
+   graphs' state is in its own journal, so their requests answer 503
+   ``unavailable`` until it respawns rather than reach a successor that
+   never saw their updates.  Application errors (400/503/504 from the
+   worker engine) are relayed, never retried.
 
 A heartbeat monitor pings every worker each ``heartbeat_interval``
 seconds and records the outcome in a
 :class:`~repro.resilience.breaker.BreakerRegistry` keyed per worker —
 the same circuit-breaker machinery the engine uses per graph.  A worker
 whose breaker trips (consecutive missed heartbeats) or whose process
-died is declared dead, removed from the ring, and respawned under
-capped exponential backoff; the restarted worker rejoins the ring with
-a cold cache and — when the cluster runs without a ``wal_dir`` —
-pristine graph state (see ``docs/cluster.md`` for why that is
-coherent).  With ``wal_dir`` set, each worker replays its own
-write-ahead log before reporting ready, so the respawned worker rejoins
-at the post-update epochs (``docs/wal.md``).
+died is declared dead and respawned under capped exponential backoff;
+the restarted worker serves with a cold cache and — when the cluster
+runs without a ``wal_dir`` — pristine graph state (see
+``docs/cluster.md`` for why that is coherent).  With ``wal_dir`` set,
+each worker replays its own write-ahead log before reporting ready, so
+the respawned worker serves its graphs at the post-update epochs
+(``docs/wal.md``).
 
 Graceful drain fans out the per-engine drain: the router refuses new
 work, then every worker finishes its in-flight computations.
@@ -226,7 +229,10 @@ class ClusterRouter:
     wal_dir / wal_fsync:
         Per-worker write-ahead-log root (split into ``worker-<i>/``
         subdirs like ``cache_dir``) and its fsync policy; ``None``
-        keeps workers volatile.  See ``docs/wal.md``.
+        keeps workers volatile.  With a WAL every worker stays on the
+        ring while it is down (its graphs answer ``unavailable`` until
+        the respawn), so no update lands in a journal that will not be
+        replayed for its graph.  See ``docs/wal.md``.
     start_timeout:
         Seconds to wait for a spawned worker to report ready.
     lod / lod_opts:
@@ -281,6 +287,9 @@ class ClusterRouter:
         )
         self._ctx = mp.get_context("spawn")
         self._ring = HashRing(vnodes)
+        #: Durable workers own their graphs for good: each replays only
+        #: its own journal, so a dead one keeps its ring points.
+        self._durable = wal_dir is not None
         self._lock = threading.Lock()  # guards ring + worker state flips
         self._flights = SingleFlight()
         self._draining = False
@@ -306,6 +315,8 @@ class ClusterRouter:
                 chaos_sites=tuple(dict(s) for s in chaos_sites),
             )
             self._workers[i] = _Worker(i, config)
+            if self._durable:
+                self._ring.add(i)
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> "ClusterRouter":
@@ -408,7 +419,7 @@ class ClusterRouter:
     @property
     def alive_workers(self) -> int:
         with self._lock:
-            return len(self._ring)
+            return sum(w.state == "up" for w in self._workers.values())
 
     def healthz(self) -> dict:
         """Probe body — same schema as the in-process ``GET /healthz``."""
@@ -434,11 +445,12 @@ class ClusterRouter:
             if worker.state != "up":
                 return
             worker.state = "dead"
-            self._ring.remove(worker.id)
+            if not self._durable:
+                self._ring.remove(worker.id)
         self.telemetry.inc("router.worker_deaths")
         self._breakers.record(f"worker:{worker.id}", False)
         worker.close_idle()
-        logger.warning("worker %d declared dead; resharding", worker.id)
+        logger.warning("worker %d declared dead", worker.id)
         self._wake.set()
 
     def _monitor_loop(self) -> None:
@@ -595,14 +607,27 @@ class ClusterRouter:
                 if not len(self._ring):
                     break
                 worker = self._workers[self._ring.owner(route_key)]
+                # Read under the lock that flips state and ring together:
+                # only a durable cluster keeps a down worker on the ring.
+                up = worker.state == "up"
+            if not up:
+                raise WorkerUnavailable(
+                    f"worker {worker.id}, which owns this graph, is down;"
+                    " retry after it restarts"
+                )
             try:
                 reply = worker.request({"op": op, "body": body}, budget)
             except (OSError, ProtocolError) as exc:
                 # Transport failure: the worker is gone (or unreachable,
                 # which we treat the same).  Mark it dead — the ring now
-                # maps this key to its successor — and retry there.
+                # maps this key to its successor — and retry there,
+                # unless the dead worker keeps its keys (durable).
                 last_exc = exc
                 self._note_failure(worker)
+                if self._durable:
+                    raise WorkerUnavailable(
+                        f"worker {worker.id}, which owns this graph, died: {exc}"
+                    ) from exc
                 self.telemetry.inc("router.retries")
                 continue
             if reply.get("ok"):

@@ -56,8 +56,8 @@ import time
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
 
+from ..lod import serving_engine
 from ..resilience import chaos
-from ..service import LayoutCache, LayoutEngine
 from ..service.http import EngineBackend, error_response
 from .protocol import ProtocolError, recv_msg, send_msg
 
@@ -92,7 +92,7 @@ class WorkerConfig:
     wal_dir: str | None = None
     wal_fsync: str = "batch"
     #: Default progressive-LOD mode (``None``/``"off"``/``"auto"``/budget
-    #: ms as a float) — the engine is always wrapped in a
+    #: ms as a float) — the engine is always a
     #: :class:`repro.lod.ProgressiveEngine` so per-request ``lod``
     #: works; this sets the default for requests that don't specify it.
     lod: str | float | None = None
@@ -103,40 +103,24 @@ class WorkerConfig:
     chaos_sites: tuple = field(default_factory=tuple)
 
 
-def _build_engine(config: WorkerConfig):
-    from ..lod import LodConfig, ProgressiveEngine
-
-    cache = LayoutCache(
-        max_bytes=int(config.cache_mb * 1024 * 1024),
-        disk_dir=config.cache_dir,
-    )
-    engine = LayoutEngine(
-        cache=cache,
-        workers=config.compute_threads,
-        queue_limit=config.queue_limit,
-        timeout=config.timeout,
-        resilience=True if config.resilience else None,
-        validation=config.validation,
-        wal_dir=config.wal_dir,
-        wal_fsync=config.wal_fsync,
-    )
-    # Always wrap: the wrapper is pass-through when neither the worker
-    # default nor the request asks for LOD, and wrapping unconditionally
-    # means a request-level "lod": "auto" works on any cluster.
-    opts = dict(config.lod_opts)
-    return ProgressiveEngine(
-        engine,
-        lod=config.lod,
-        config=LodConfig(**opts) if opts else None,
-    )
-
-
 class _WorkerServer:
     """Accept loop + per-connection request threads inside the worker."""
 
     def __init__(self, config: WorkerConfig):
         self.config = config
-        self.engine = _build_engine(config)
+        self.engine = serving_engine(
+            threads=config.compute_threads,
+            queue_limit=config.queue_limit,
+            timeout=config.timeout,
+            cache_mb=config.cache_mb,
+            cache_dir=config.cache_dir,
+            resilience=config.resilience,
+            validation=config.validation,
+            wal_dir=config.wal_dir,
+            wal_fsync=config.wal_fsync,
+            lod=config.lod,
+            lod_opts=dict(config.lod_opts),
+        )
         self.backend = EngineBackend(self.engine)
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)

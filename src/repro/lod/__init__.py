@@ -9,12 +9,13 @@ response; this package turns first paint into a coarse-tier answer:
   vectors, prolongation maps and a measured eigenvalue-distortion bound
   (:func:`repro.validate.check_lod_distortion`).
 * :mod:`~repro.lod.progressive` — :func:`progressive_layout`, a
-  generator of progressively finer full-coverage layouts, and
-  :class:`ProgressiveEngine`, the serving wrapper that answers requests
-  from the coarsest servable level (``quality_tier="lod-k"``), refines
+  generator of progressively finer full-coverage layouts,
+  :class:`ProgressiveEngine`, the :class:`~repro.service.LayoutEngine`
+  whose cache misses are answered from the coarsest servable level (``quality_tier="lod-k"``), refines
   asynchronously on the engine's pool and publishes every refinement
   through an epoch bump so polling clients converge on ``"full"``
-  without ever seeing a stale cache entry.
+  without ever seeing a stale cache entry, and :func:`serving_engine`,
+  which builds the engine ``parhde serve`` runs.
 
 See docs/lod.md for tier semantics and the refinement protocol.
 """
@@ -31,6 +32,7 @@ from .progressive import (
     ProgressiveEngine,
     ProgressiveFrame,
     progressive_layout,
+    serving_engine,
 )
 
 __all__ = [
@@ -42,5 +44,6 @@ __all__ = [
     "build_lod_hierarchy",
     "measure_distortion",
     "progressive_layout",
+    "serving_engine",
     "tier_name",
 ]

@@ -9,16 +9,16 @@ Two layers share the same refinement ladder:
   the hierarchy up — one-step prolongation plus a few centroid sweeps
   per level — yielding a frame per level and finishing with a genuine
   full-pipeline run tagged ``"full"``.
-* :class:`ProgressiveEngine` — a serving wrapper over
-  :class:`~repro.service.engine.LayoutEngine`.  The first request for a
-  large graph computes only the first frame synchronously (so the
-  response arrives in coarse-tier time), then drains the rest of the
-  generator asynchronously on the engine's pool, publishing every
-  refinement through :meth:`LayoutEngine.publish_layout` — an epoch
-  bump plus a cache put, the same invalidation path ``POST /update``
-  uses — so clients polling ``GET /layout`` observe monotonically
-  improving tiers and converge on ``"full"`` without ever seeing a
-  stale epoch's entry.
+* :class:`ProgressiveEngine` — a
+  :class:`~repro.service.engine.LayoutEngine` whose cache-miss path can
+  paint coarse first.  The first request for a large graph computes
+  only the first frame synchronously (so the response arrives in
+  coarse-tier time), then drains the rest of the generator
+  asynchronously on the engine's pool, publishing every refinement
+  through :meth:`LayoutEngine.publish_layout` — an epoch bump plus a
+  cache put, the same invalidation path ``POST /update`` uses — so
+  clients polling ``GET /layout`` observe monotonically improving tiers
+  and converge on ``"full"`` without ever seeing a stale epoch's entry.
 
 The HTTP contract is unchanged: every frame's coordinates cover all
 fine vertices, and responses differ from non-progressive serving only
@@ -27,12 +27,12 @@ in ``quality_tier`` and a ``params["lod"]`` metadata record.
 
 from __future__ import annotations
 
-import inspect
 import math
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Any, Callable, Iterator, Mapping
 
 import numpy as np
@@ -42,20 +42,18 @@ from ..core.refine import centroid_sweep
 from ..core.result import LayoutResult
 from ..graph.csr import CSRGraph
 from ..parallel.pool import PoolSaturated
-from ..resilience.ladder import tier_rank
+from ..resilience.ladder import supports, tier_rank
 from ..validate import InvariantViolation, check_lod_distortion
+from ..service.cache import LayoutCache
 from ..service.engine import (
     BadRequest,
     LayoutEngine,
     LayoutRequest,
     LayoutResponse,
-    Overloaded,
     ServiceError,
-    UpdateRequest,
-    UpdateResponse,
     ValidationFailed,
 )
-from ..service.fingerprint import canonical_params, layout_fingerprint
+from ..service.fingerprint import canonical_params
 from ..service.http import parse_lod_value
 from .hierarchy import LodHierarchy, build_lod_hierarchy, tier_name
 
@@ -64,6 +62,7 @@ __all__ = [
     "ProgressiveEngine",
     "ProgressiveFrame",
     "progressive_layout",
+    "serving_engine",
 ]
 
 
@@ -211,11 +210,7 @@ def _level_masses(
         else getattr(kernels, "rounds", 0)
     ):
         return None
-    try:
-        accepted = inspect.signature(algorithm).parameters
-    except (TypeError, ValueError):
-        return None
-    if "masses" not in accepted:
+    if not supports(algorithm, "masses"):
         return None
     mass = hierarchy.mass_at(depth)
     out = {int(i): float(m) for i, m in enumerate(mass) if m != 1.0}
@@ -335,7 +330,11 @@ class _Record:
 
 
 class _LodState:
-    """Hierarchy + per-request records for one graph content version."""
+    """Hierarchy + per-request records for one graph content version.
+
+    States are keyed by ``(digest, content)``, so an update's content
+    bump leaves the old version's state unreachable on its own.
+    """
 
     __slots__ = ("hierarchy", "content", "records", "lock")
 
@@ -353,22 +352,18 @@ class _LodState:
             return rec
 
 
-class ProgressiveEngine:
-    """Serve coarse-first, refine asynchronously, converge to full.
+class ProgressiveEngine(LayoutEngine):
+    """A :class:`LayoutEngine` that answers a cache miss coarse-first.
 
-    Wraps a :class:`~repro.service.engine.LayoutEngine` and preserves
-    its whole interface (``submit`` / ``update`` / ``stats`` / ``drain``
-    / ``close`` / telemetry), so the HTTP layer, the cluster worker and
-    the CLI can treat either interchangeably.  Requests are served
-    progressively when the effective LOD mode (the request's ``lod``
-    field, falling back to the engine-level default) is enabled *and*
-    the graph is at least ``config.min_vertices`` vertices; everything
-    else passes straight through.
+    A request is served progressively when its effective LOD mode (the
+    request's ``lod`` field, falling back to the engine-level default)
+    is enabled *and* the graph has at least ``config.min_vertices``
+    vertices.  Such a miss computes only the first (coarse) frame
+    synchronously and refines the rest on the engine's pool; every
+    other request is served exactly as :class:`LayoutEngine` serves it.
 
     Parameters
     ----------
-    engine:
-        The wrapped engine (owns the cache, pool, graphs and telemetry).
     lod:
         Default mode for requests that do not set ``lod`` themselves:
         ``None``/``"off"`` (opt-in per request), ``"auto"``, or a
@@ -376,19 +371,20 @@ class ProgressiveEngine:
     config:
         Knob overrides (hierarchy sizes, refinement sweeps, distortion
         bound); the mode/budget fields are overridden per request.
+    **engine_kwargs:
+        :class:`LayoutEngine` keywords (cache, pool, graphs, WAL, ...).
     """
 
     def __init__(
         self,
-        engine: LayoutEngine,
         *,
         lod: str | float | None = None,
         config: LodConfig | None = None,
+        **engine_kwargs: Any,
     ):
-        self.engine = engine
         self.config = config if config is not None else LodConfig()
-        # Validate the default eagerly so a bad one fails here, not on
-        # the first request.
+        # Validate the default eagerly so a bad one fails here, before
+        # the engine starts its pool or opens its WAL.
         self._default = LodConfig.parse(lod)
         if self._default is not None and config is not None:
             self._default = replace(
@@ -400,48 +396,14 @@ class ProgressiveEngine:
         self._cost_per_unit = 1e-4  # ms per (n*s + m) unit, EWMA-calibrated
         self._cost_lock = threading.Lock()
         self._closed = False
-
-    # -- delegation ---------------------------------------------------------
-    @property
-    def telemetry(self):
-        return self.engine.telemetry
-
-    @property
-    def cache(self):
-        return self.engine.cache
-
-    @property
-    def draining(self) -> bool:
-        return self.engine.draining
-
-    @property
-    def inflight(self) -> int:
-        return self.engine.inflight
-
-    @property
-    def queue_depth(self) -> int:
-        return self.engine.queue_depth
-
-    def update(self, request: UpdateRequest) -> UpdateResponse:
-        # The content bump invalidates every _LodState for the old
-        # version on its own: states are keyed by (digest, content).
-        return self.engine.update(request)
-
-    def drain(self, timeout: float = 10.0) -> bool:
-        return self.engine.drain(timeout)
+        super().__init__(**engine_kwargs)
 
     def close(self) -> None:
         self._closed = True
-        self.engine.close()
-
-    def __enter__(self) -> "ProgressiveEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        super().close()
 
     def stats(self) -> dict:
-        snap = self.engine.stats()
+        snap = super().stats()
         with self._states_lock:
             hierarchies = [
                 state.hierarchy.sizes() for state in self._states.values()
@@ -464,28 +426,20 @@ class ProgressiveEngine:
 
     # -- request path -------------------------------------------------------
     def submit(self, request: LayoutRequest) -> LayoutResponse:
+        """Serve one request; with LOD off it is :meth:`LayoutEngine.submit`."""
         try:
             cfg = self._config_for(request)
         except ValueError as exc:
-            self.telemetry.inc("requests")
-            self.telemetry.inc("errors.bad_request")
-            raise BadRequest(str(exc)) from None
+            error = BadRequest(str(exc))
+
+            def refuse(t0: float) -> LayoutResponse:
+                raise error
+
+            return self._accounted(refuse)
         if cfg is None:
-            return self.engine.submit(request)
-        t0 = time.perf_counter()
-        tel = self.telemetry
-        tel.inc("requests")
-        tel.inc("lod.requests")
-        try:
-            if self.engine.draining:
-                raise Overloaded("engine is draining; not accepting new requests")
-            response = self._serve_lod(request, cfg, t0)
-        except ServiceError as exc:
-            tel.inc(f"errors.{exc.code}")
-            raise
-        tel.observe("latency_seconds", time.perf_counter() - t0)
-        tel.inc(f"responses.{response.status}")
-        return response
+            return super().submit(request)
+        self.telemetry.inc("lod.requests")
+        return self._accounted(partial(self._serve_lod, request, cfg))
 
     def _config_for(self, request: LayoutRequest) -> LodConfig | None:
         value = request.lod if request.lod is not None else self._default
@@ -499,65 +453,65 @@ class ProgressiveEngine:
     def _serve_lod(
         self, request: LayoutRequest, cfg: LodConfig, t0: float
     ) -> LayoutResponse:
-        eng = self.engine
-        tel = self.telemetry
-        resolved = eng.resolve_request(request)
-        g, digest, name, epoch, content, kwargs = resolved
+        resolved = self.resolve_request(request)
+        g, kwargs = resolved[0], resolved[-1]
+        first_paint = None
         if g.n < cfg.min_vertices:
-            tel.inc("lod.bypass_small")
-            return eng._serve(request, t0, resolved)
-        if "constraints" in kwargs:
+            self.telemetry.inc("lod.bypass_small")
+        elif "constraints" in kwargs:
             # Pins/masses/region address finest vertex ids; prolonging
             # them through the hierarchy would only approximately honor
             # them.  Constrained requests get the exact (and warm-
             # restartable) direct path.
-            tel.inc("lod.bypass_constrained")
-            return eng._serve(request, t0, resolved)
-        fingerprint = layout_fingerprint(
-            digest, request.algorithm, kwargs, epoch=epoch
-        )
+            self.telemetry.inc("lod.bypass_constrained")
+        else:
+            first_paint = partial(self._first_paint, request, cfg, resolved, t0)
+        return self._serve(request, t0, resolved, first_paint)
 
-        def respond(result: LayoutResult, status: str, fp: str) -> LayoutResponse:
-            return LayoutResponse(
-                fingerprint=fp,
-                status=status,
-                result=result,
-                graph_name=name,
-                n=g.n,
-                m=g.m,
-                elapsed=time.perf_counter() - t0,
-            )
-
-        cached = eng.cache.get(fingerprint)
-        if cached is not None:
-            result, where = cached
-            self._check_consistency(result, g, request, kwargs)
-            tel.inc("cache_hits")
-            return respond(result, f"{where}-hit", fingerprint)
-        tel.inc("cache_misses")
-
+    def _first_paint(
+        self,
+        request: LayoutRequest,
+        cfg: LodConfig,
+        resolved: tuple,
+        t0: float,
+        fingerprint: str,
+    ) -> tuple[LayoutResult, str, str] | None:
+        """Answer a cache miss with a coarse frame (``None``: compute full)."""
+        g, digest, _name, _epoch, content, kwargs = resolved
+        tel = self.telemetry
         state = self._lod_state(request, cfg, g, digest, content)
         if state.hierarchy.depth == 0:
             # The graph would not coarsen (it starved the matching);
-            # nothing progressive to serve — fall through to the plain
-            # path, which also handles single-flight and caching.
+            # nothing progressive to serve.
             tel.inc("lod.flat_hierarchy")
-            return eng._serve(request, t0, resolved)
+            return None
 
         reckey = f"{request.algorithm}\x1f{canonical_params(kwargs)}"
         rec = state.record(reckey)
         with rec.lock:
             if rec.best is not None:
-                # A refinement already published; the cache miss above
-                # just means we raced the epoch bump -> cache put gap
-                # (or the entry was evicted).  Serve the best in hand —
-                # never something older.
+                # A refinement already published; the cache miss just
+                # means we raced the epoch bump -> cache put gap (or the
+                # entry was evicted).  Serve the best in hand — never
+                # something older.
                 tel.inc("lod.best_served")
-                return respond(rec.best, "lod-hit", rec.best_fp or fingerprint)
+                return rec.best, "lod-hit", rec.best_fp or fingerprint
             depth = self._choose_depth(state.hierarchy, cfg, kwargs)
             if depth == 0:
-                return eng._serve(request, t0, resolved)
-            frames = self._frames(request, cfg, state, g, kwargs, depth)
+                return None
+            algo = self._algorithms[request.algorithm]
+            extras = {
+                k: v for k, v in kwargs.items() if k not in ("s", "seed", "dims")
+            }
+            if self.validation.enabled and supports(algo, "validate"):
+                extras["validate"] = self.validation
+            frames = progressive_layout(
+                g, kwargs["s"], dims=int(kwargs.get("dims", 2)),
+                seed=kwargs["seed"], algorithm=algo,
+                algorithm_name=request.algorithm, config=cfg,
+                hierarchy=state.hierarchy, start_depth=depth,
+                params_echo=kwargs, **extras,
+            )
             t_paint = time.perf_counter()
             try:
                 first = next(frames)
@@ -578,28 +532,9 @@ class ProgressiveEngine:
             if not rec.chain_started:
                 rec.chain_started = True
                 self._schedule_chain(request, kwargs, state, rec, frames, depth)
-            return respond(first.result, "computed", fp or fingerprint)
+            return first.result, "computed", fp or fingerprint
 
     # -- internals ----------------------------------------------------------
-    def _check_consistency(
-        self, result: LayoutResult, g: CSRGraph, request: LayoutRequest, kwargs: dict
-    ) -> None:
-        """Mirror the plain engine's cache-hit consistency check."""
-        eng = self.engine
-        if not eng.validation.enabled:
-            return
-        from ..validate import check_cache_consistency
-
-        check = check_cache_consistency(result, g, request.algorithm, kwargs)
-        if not check.ok:
-            self.telemetry.inc("validation_failures")
-        try:
-            eng.validation.handle(check)
-        except InvariantViolation as exc:
-            raise ValidationFailed(
-                f"cache hit failed consistency check: {exc}"
-            ) from exc
-
     def _lod_state(
         self,
         request: LayoutRequest,
@@ -631,7 +566,7 @@ class ProgressiveEngine:
         if not check.ok:
             self.telemetry.inc("lod.distortion_violations")
         try:
-            self.engine.validation.handle(check)
+            self.validation.handle(check)
         except InvariantViolation as exc:
             raise ValidationFailed(
                 f"LOD hierarchy failed distortion check: {exc}"
@@ -673,36 +608,6 @@ class ProgressiveEngine:
                 0.7 * self._cost_per_unit + 0.3 * (elapsed_ms / units)
             )
 
-    def _frames(
-        self,
-        request: LayoutRequest,
-        cfg: LodConfig,
-        state: _LodState,
-        g: CSRGraph,
-        kwargs: dict,
-        depth: int,
-    ) -> Iterator[ProgressiveFrame]:
-        eng = self.engine
-        algo = eng._algorithms[request.algorithm]
-        extras = {
-            k: v for k, v in kwargs.items() if k not in ("s", "seed", "dims")
-        }
-        if eng.validation.enabled and eng._accepts_validate(algo):
-            extras["validate"] = eng.validation
-        return progressive_layout(
-            g,
-            kwargs["s"],
-            dims=int(kwargs.get("dims", 2)),
-            seed=kwargs["seed"],
-            algorithm=algo,
-            algorithm_name=request.algorithm,
-            config=cfg,
-            hierarchy=state.hierarchy,
-            start_depth=depth,
-            params_echo=kwargs,
-            **extras,
-        )
-
     def _publish(
         self,
         request: LayoutRequest,
@@ -727,7 +632,7 @@ class ProgressiveEngine:
                 # In-memory graphs have no engine-owned state to bump;
                 # the record itself is the publication.
                 return None
-            fp = self.engine.publish_layout(
+            fp = self.publish_layout(
                 request.graph,
                 request.scale,
                 request.seed,
@@ -758,7 +663,7 @@ class ProgressiveEngine:
             self._refine_chain(request, kwargs, state, rec, frames, depth)
 
         try:
-            self.engine._pool.submit(run)
+            self._pool.submit(run)
         except PoolSaturated:
             # Refinement must not be lost to a momentarily full queue —
             # the first paint was already served promising convergence.
@@ -786,7 +691,7 @@ class ProgressiveEngine:
         pending = depth
         try:
             for frame in frames:
-                if self._closed or self.engine.draining or self._stale(
+                if self._closed or self.draining or self._stale(
                     request, state
                 ):
                     tel.inc("lod.refine_aborted")
@@ -806,9 +711,45 @@ class ProgressiveEngine:
         if not isinstance(request.graph, str):
             return False
         try:
-            graph_state = self.engine._graph_state(
+            graph_state = self._graph_state(
                 request.graph, request.scale, request.seed
             )
         except ServiceError:
             return True
         return graph_state.content != state.content
+
+
+def serving_engine(
+    *,
+    threads: int = 2,
+    queue_limit: int = 8,
+    timeout: float = 60.0,
+    cache_mb: float = 64.0,
+    cache_dir: str | None = None,
+    resilience: bool = False,
+    validation: str | None = None,
+    wal_dir: str | None = None,
+    wal_fsync: str = "batch",
+    lod: str | float | None = None,
+    lod_opts: Mapping[str, Any] | None = None,
+) -> ProgressiveEngine:
+    """The engine ``parhde serve`` runs, in process and in each cluster worker.
+
+    It is always progressive: with LOD off by default the engine serves
+    like a plain :class:`LayoutEngine`, and a request-level ``"lod"``
+    still works.  ``lod_opts`` are :class:`LodConfig` knob overrides.
+    """
+    return ProgressiveEngine(
+        cache=LayoutCache(
+            max_bytes=int(cache_mb * 1024 * 1024), disk_dir=cache_dir
+        ),
+        workers=threads,
+        queue_limit=queue_limit,
+        timeout=timeout,
+        resilience=True if resilience else None,
+        validation=validation,
+        wal_dir=wal_dir,
+        wal_fsync=wal_fsync,
+        lod=lod,
+        config=LodConfig(**lod_opts) if lod_opts else None,
+    )

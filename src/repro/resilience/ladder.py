@@ -99,7 +99,9 @@ def _rank_deficient(exc: BaseException) -> bool:
     return isinstance(exc, ValueError) and "independent distance vectors" in str(exc)
 
 
-def _supports(fn: Callable[..., Any], name: str) -> bool:
+def supports(fn: Callable[..., Any], name: str) -> bool:
+    """Whether ``fn`` takes a parameter called ``name`` (``False`` when
+    its signature cannot be read)."""
     try:
         return name in inspect.signature(fn).parameters
     except (TypeError, ValueError):  # builtins / C callables
@@ -236,9 +238,9 @@ def resilient_layout(
         kwargs.setdefault("dims", dims)
         kwargs["seed"] = seed if attempt == 0 else seed + 1000 * attempt
         s_eff = s if attempt == 0 else min(s_cap, s + 4 * attempt)
-        if dl is not None and _supports(primary, "deadline"):
+        if dl is not None and supports(primary, "deadline"):
             kwargs["deadline"] = dl
-        if checkpoint is not None and _supports(primary, "checkpoint"):
+        if checkpoint is not None and supports(primary, "checkpoint"):
             kwargs["checkpoint"] = checkpoint
         return primary(g, s_eff, **kwargs)
 

@@ -24,7 +24,6 @@ compute-time and end-to-end latency histograms.
 
 from __future__ import annotations
 
-import inspect
 import logging
 import threading
 import time
@@ -41,7 +40,12 @@ from ..graph.csr import CSRGraph
 from ..parallel.pool import PoolSaturated, TaskPool
 from ..resilience import BreakerRegistry, Deadline, RetryPolicy
 from ..resilience.breaker import OPEN
-from ..resilience.ladder import baseline_layout, is_lod_tier, resilient_layout
+from ..resilience.ladder import (
+    baseline_layout,
+    is_lod_tier,
+    resilient_layout,
+    supports,
+)
 from ..stream.delta import EdgeDelta, edge_delta
 from ..stream.overlay import DynamicGraph
 from ..wal import WalReplay, WriteAheadLog, edge_diff
@@ -119,6 +123,11 @@ class ValidationFailed(ServiceError):
     http_status = 500
 
 
+#: Share of a request's remaining time the resilient compute ladder
+#: gets; the rest is slack for queue hand-off and serialization.
+DEADLINE_FRACTION = 0.8
+
+
 @dataclass(frozen=True)
 class ResilienceConfig:
     """Knobs for the engine's degradation/retry/breaker machinery.
@@ -126,33 +135,26 @@ class ResilienceConfig:
     Passing a config (or ``resilience=True``) to :class:`LayoutEngine`
     turns the compute path into the degradation ladder
     (:func:`repro.resilience.resilient_layout`): computations run under
-    a deadline derived from the request timeout, transient failures are
-    retried, and a failing or stalled pipeline falls back to cheaper
-    rungs instead of erroring — the response is then tagged with a
-    ``quality_tier`` below ``"full"``.  Only untainted full-tier results
-    are cached.
+    a deadline of :data:`DEADLINE_FRACTION` of the request's remaining
+    time, transient failures are retried, and a failing or stalled
+    pipeline falls back to cheaper rungs instead of erroring — the
+    response is then tagged with a ``quality_tier`` below ``"full"``.
+    Only untainted full-tier results are cached.  While a key's breaker
+    is open the engine serves an inline baseline layout tagged
+    ``quality_tier="baseline"``.
 
     Attributes
     ----------
-    deadline_fraction:
-        Share of the request's remaining time given to the compute
-        ladder; the rest is slack for queue hand-off and serialization.
     retry:
         Override for the ladder's transient-retry policy.
     breaker_threshold / breaker_reset:
         Consecutive non-full outcomes per (graph, algorithm) key that
         trip its circuit breaker, and seconds before a half-open probe.
-    degrade_on_open:
-        When a breaker is open, serve an inline baseline layout tagged
-        ``quality_tier="baseline"`` (default) instead of failing fast
-        with :class:`Overloaded`.
     """
 
-    deadline_fraction: float = 0.8
     retry: RetryPolicy | None = None
     breaker_threshold: int = 3
     breaker_reset: float = 30.0
-    degrade_on_open: bool = True
 
     @classmethod
     def coerce(
@@ -239,8 +241,7 @@ class LayoutRequest:
         Progressive level-of-detail mode (:mod:`repro.lod`): ``None``
         (engine default), ``"off"``, ``"auto"``, or a first-paint budget
         in milliseconds.  Ignored by a plain :class:`LayoutEngine`;
-        honored when the engine is wrapped in a
-        :class:`~repro.lod.ProgressiveEngine`.
+        honored by its subclass :class:`~repro.lod.ProgressiveEngine`.
     """
 
     graph: str | CSRGraph
@@ -540,6 +541,16 @@ class LayoutEngine:
     def submit(self, request: LayoutRequest) -> LayoutResponse:
         """Serve one request synchronously (the HTTP handler's thread blocks
         here; concurrency comes from the handler threads + worker pool)."""
+        return self._accounted(
+            lambda t0: self._serve(request, t0, self.resolve_request(request))
+        )
+
+    def _accounted(
+        self, serve: Callable[[float], LayoutResponse]
+    ) -> LayoutResponse:
+        """Run ``serve(t0)`` under every request's counters
+        (``requests``, ``errors.*``, ``latency_seconds``, ``responses.*``);
+        a draining engine refuses before ``serve`` runs."""
         t0 = time.perf_counter()
         self.telemetry.inc("requests")
         try:
@@ -547,7 +558,7 @@ class LayoutEngine:
                 raise Overloaded(
                     "engine is draining; not accepting new requests"
                 )
-            response = self._serve(request, t0, self.resolve_request(request))
+            response = serve(t0)
         except ServiceError as exc:
             self.telemetry.inc(f"errors.{exc.code}")
             raise
@@ -1086,20 +1097,6 @@ class LayoutEngine:
         return {"s": s, "seed": int(request.seed), **extra}
 
     @staticmethod
-    def _accepts_validate(algo: Callable[..., LayoutResult]) -> bool:
-        try:
-            return "validate" in inspect.signature(algo).parameters
-        except (TypeError, ValueError):  # builtins / C callables
-            return False
-
-    @staticmethod
-    def _accepts_warm(algo: Callable[..., LayoutResult]) -> bool:
-        try:
-            return "warm_base" in inspect.signature(algo).parameters
-        except (TypeError, ValueError):
-            return False
-
-    @staticmethod
     def _warm_key(
         digest: str, content: int, algorithm: str, kwargs: Mapping[str, Any]
     ) -> str:
@@ -1133,7 +1130,7 @@ class LayoutEngine:
         algo = self._algorithms[algo_key]
         kwargs = dict(kwargs)
         s = kwargs.pop("s")
-        if self.validation.enabled and self._accepts_validate(algo):
+        if self.validation.enabled and supports(algo, "validate"):
             kwargs["validate"] = self.validation
         if warm is not None:
             kwargs["warm_base"] = dict(warm)
@@ -1179,7 +1176,7 @@ class LayoutEngine:
             # What's left of the request deadline, minus response slack.
             remaining = deadline_at - time.perf_counter()
             deadline = Deadline(
-                max(0.05, remaining * cfg.deadline_fraction)
+                max(0.05, remaining * DEADLINE_FRACTION)
             )
         return resilient_layout(
             g,
@@ -1202,19 +1199,29 @@ class LayoutEngine:
         return g, digest, name, epoch, content, kwargs
 
     def _serve(
-        self, request: LayoutRequest, t0: float, resolved: tuple
+        self,
+        request: LayoutRequest,
+        t0: float,
+        resolved: tuple,
+        first_paint: Callable[[str], tuple | None] | None = None,
     ) -> LayoutResponse:
-        # ``resolved`` comes from resolve_request(); the progressive
-        # engine's bypasses pass the one they already hold, so a request
-        # is snapshotted, validated and counted once.
+        """Answer a :meth:`resolve_request` result from cache or compute.
+
+        ``first_paint(fingerprint)`` is the progressive engine's answer
+        to a cache miss: ``(result, status, fingerprint)``, or ``None``
+        to compute the full layout.  A request that has one may be
+        answered by a coarse-tier cache entry.
+        """
         g, digest, name, epoch, content, kwargs = resolved
         fingerprint = layout_fingerprint(
             digest, request.algorithm, kwargs, epoch=epoch
         )
 
-        def respond(result: LayoutResult, status: str) -> LayoutResponse:
+        def respond(
+            result: LayoutResult, status: str, fp: str = fingerprint
+        ) -> LayoutResponse:
             return LayoutResponse(
-                fingerprint=fingerprint,
+                fingerprint=fp,
                 status=status,
                 result=result,
                 graph_name=name,
@@ -1226,10 +1233,11 @@ class LayoutEngine:
         cached = self.cache.get(fingerprint)
         if (
             cached is not None
+            and first_paint is None
             and is_lod_tier(cached[0].quality_tier)
             and request.lod in (None, "off")
         ):
-            # A progressive wrapper published a coarse-tier refinement at
+            # A progressive refinement published a coarse-tier layout at
             # this fingerprint; a caller that did not ask for LOD must
             # get the full-tier layout, so recompute (the full result
             # overwrites the coarse entry at the same fingerprint).
@@ -1254,27 +1262,26 @@ class LayoutEngine:
             self.telemetry.inc("cache_hits")
             return respond(result, f"{tier}-hit")
         self.telemetry.inc("cache_misses")
+        if first_paint is not None:
+            painted = first_paint(fingerprint)
+            if painted is not None:
+                return respond(*painted)
 
         timeout = request.timeout if request.timeout is not None else self.timeout
 
         # Circuit breaker: a (graph, algorithm) key that keeps failing is
-        # served a baseline inline (or refused) without burning a worker.
+        # served a baseline inline without burning a worker.
         breaker_key = None
         if self._breakers is not None:
             breaker_key = f"{digest[:16]}@{epoch}:{request.algorithm}"
             if not self._breakers.allow(breaker_key):
                 self.telemetry.inc("breaker.short_circuits")
-                if self.resilience is not None and self.resilience.degrade_on_open:
-                    self.telemetry.inc("resilience.degraded.baseline")
-                    result = baseline_layout(
-                        g, dims=int(kwargs.get("dims", 2)), seed=kwargs["seed"]
-                    )
-                    result.params["degraded_reason"] = "circuit_open"
-                    return respond(result, "degraded")
-                raise Overloaded(
-                    f"circuit breaker open for {request.algorithm!r} on this"
-                    " graph; retry later"
+                self.telemetry.inc("resilience.degraded.baseline")
+                result = baseline_layout(
+                    g, dims=int(kwargs.get("dims", 2)), seed=kwargs["seed"]
                 )
+                result.params["degraded_reason"] = "circuit_open"
+                return respond(result, "degraded")
 
         # Warm-base restart: a constrained request may reuse the basis a
         # prior layout of the same graph content deposited (drags hit it).
@@ -1283,7 +1290,7 @@ class LayoutEngine:
         warm_key = warm = None
         if "constraints" in kwargs and self.resilience is None:
             algo = self._algorithms[request.algorithm]
-            if self._accepts_warm(algo):
+            if supports(algo, "warm_base"):
                 warm_key = self._warm_key(
                     digest, content, request.algorithm, kwargs
                 )

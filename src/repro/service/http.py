@@ -14,7 +14,7 @@ control, or sharding + cluster-wide coalescing).  Routes:
     with serving metadata (fingerprint, cache status, quality tier,
     elapsed seconds) and, unless ``include_coords`` is false, the
     ``n x d`` coordinate list.  ``lod`` selects progressive serving
-    (engines wrapped in :class:`repro.lod.ProgressiveEngine`):
+    (a :class:`repro.lod.ProgressiveEngine` backend, as served):
     ``"off"``, ``"auto"`` (coarsest-first) or a first-paint budget in
     milliseconds; see docs/lod.md.
 ``GET /layout``
@@ -300,9 +300,9 @@ def error_response(
 class EngineBackend:
     """Doc-level serving API over a :class:`LayoutEngine`.
 
-    Works for any engine with the ``submit`` / ``update`` / ``stats`` /
-    ``drain`` interface (a :class:`repro.lod.ProgressiveEngine` too) and
-    exposes the same methods as :class:`repro.cluster.ClusterRouter`,
+    Takes any :class:`LayoutEngine`, such as the
+    :class:`repro.lod.ProgressiveEngine` that ``parhde serve`` builds,
+    and exposes the same methods as :class:`repro.cluster.ClusterRouter`,
     so one HTTP handler serves both modes and the cluster worker answers
     its ``layout``/``update`` ops through this class as well.
     """

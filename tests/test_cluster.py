@@ -474,13 +474,13 @@ class TestLodCluster:
         """Satellite: quality_tier must be identical between --workers N
         and in-process serving for the same request and LOD config."""
         from repro.lod import LodConfig, ProgressiveEngine
-        from repro.service import LayoutEngine, LayoutRequest
+        from repro.service import LayoutRequest
 
         body = {"graph": "web", **TINY, "lod": "auto",
                 "include_coords": False}
         cluster_first = lod_cluster.layout(body)["quality_tier"]
         eng = ProgressiveEngine(
-            LayoutEngine(workers=2), config=LodConfig(**_LOD_OPTS)
+            workers=2, config=LodConfig(**_LOD_OPTS)
         )
         try:
             local = eng.submit(

@@ -2,8 +2,8 @@
 
 One handler serves an in-process engine and a ``--workers 2`` cluster
 router, so the same bad input must get the same ``(status, error)``
-answer from both, and a keep-alive connection must stay usable after
-any error response.
+answer from both, the same good input the same layout, and a
+keep-alive connection must stay usable after any error response.
 """
 
 from __future__ import annotations
@@ -11,11 +11,12 @@ from __future__ import annotations
 import http.client
 import json
 
+import numpy as np
 import pytest
 
 from repro.cluster import ClusterRouter
 from repro.lod import ProgressiveEngine
-from repro.service import LayoutEngine, make_server
+from repro.service import make_server
 from repro.service.http import _MAX_BODY
 
 TINY = {"graph": "barth", "scale": "tiny", "s": 6}
@@ -25,7 +26,7 @@ TINY = {"graph": "barth", "scale": "tiny", "s": 6}
 def server(request):
     """A started server in each mode, shaped like ``parhde serve``."""
     if request.param == "in-process":
-        backend = ProgressiveEngine(LayoutEngine(workers=1, timeout=30.0))
+        backend = ProgressiveEngine(workers=1, timeout=30.0)
     else:
         backend = ClusterRouter(
             2, compute_threads=1, cache_mb=16.0, heartbeat_interval=0.2
@@ -108,6 +109,42 @@ def test_error_contract(server):
     assert answers == {case: c[-1] for case, c in ERROR_CASES.items()}
 
 
+# case -> POST /layout body sent to both modes by the parity test.
+PARITY_BODIES = {
+    "plain": dict(TINY),
+    "batched": {**TINY, "params": {"kernels": {"traversal": "batched"}}},
+}
+
+
+def test_modes_compute_the_same_layout(server):
+    """Every mode answers like a fresh in-process engine, bit for bit."""
+    engine = ProgressiveEngine(workers=1, timeout=30.0)
+    local = make_server(engine, port=0).start()
+    try:
+        for case, body in PARITY_BODIES.items():
+            answers = []
+            for srv in (local, server):
+                conn = _connect(srv)
+                try:
+                    status, payload = _exchange(
+                        conn, "POST", "/layout", json.dumps(body)
+                    )
+                finally:
+                    conn.close()
+                assert status == 200, (case, payload)
+                answers.append(payload)
+            ours, theirs = answers
+            assert ours["fingerprint"] == theirs["fingerprint"], case
+            assert ours["quality_tier"] == theirs["quality_tier"], case
+            assert (
+                np.asarray(ours["coords"]).tobytes()
+                == np.asarray(theirs["coords"]).tobytes()
+            ), case
+    finally:
+        local.shutdown()
+        engine.close()
+
+
 def test_keepalive_survives_error_responses(server):
     conn = _connect(server)
     try:
@@ -135,7 +172,7 @@ def test_keepalive_survives_error_responses(server):
 
 
 def test_draining_keepalive_answers_503_then_healthz():
-    engine = ProgressiveEngine(LayoutEngine(workers=1, timeout=10.0))
+    engine = ProgressiveEngine(workers=1, timeout=10.0)
     srv = make_server(engine, port=0).start()
     conn = _connect(srv)
     try:

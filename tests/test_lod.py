@@ -33,7 +33,7 @@ from repro.lod import (
 )
 from repro.multilevel import contract, spectral_matching
 from repro.resilience import is_lod_tier, tier_rank
-from repro.service import LayoutCache, LayoutEngine, LayoutRequest
+from repro.service import LayoutCache, LayoutRequest
 from repro.service.http import layout_doc_from_query, parse_lod_value
 from repro.validate import check_lod_distortion
 
@@ -312,7 +312,7 @@ class TestProgressiveEngine:
     @pytest.fixture()
     def eng(self):
         e = ProgressiveEngine(
-            LayoutEngine(graph_loader=_grid_loader, workers=2, timeout=60),
+            graph_loader=_grid_loader, workers=2, timeout=60,
             config=_LOD_CFG,
         )
         yield e
@@ -369,7 +369,7 @@ class TestProgressiveEngine:
 
     def test_small_graph_bypasses_lod(self):
         e = ProgressiveEngine(
-            LayoutEngine(graph_loader=_grid_loader, workers=2),
+            graph_loader=_grid_loader, workers=2,
             config=LodConfig(min_vertices=10_000),
         )
         try:
@@ -396,7 +396,7 @@ class TestProgressiveEngine:
         counts = {}
         for lod in (None, "auto"):
             e = ProgressiveEngine(
-                LayoutEngine(graph_loader=_grid_loader, workers=1),
+                graph_loader=_grid_loader, workers=1,
                 config=config,
             )
             try:
@@ -421,7 +421,7 @@ class TestProgressiveEngine:
 
     def test_default_mode_applies_to_bare_requests(self):
         e = ProgressiveEngine(
-            LayoutEngine(graph_loader=_grid_loader, workers=2),
+            graph_loader=_grid_loader, workers=2,
             lod="auto",
             config=_LOD_CFG,
         )

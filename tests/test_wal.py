@@ -610,3 +610,63 @@ class TestClusterWalRespawn:
             assert up["epoch"] == 4
         finally:
             router.close()
+
+    def test_dead_owner_graphs_unavailable_until_respawn(self, tmp_path):
+        """An owner outage must not fork a graph's history.
+
+        The successor never saw the acknowledged updates, so an update it
+        took would restart the graph at epoch 1 and stay in a journal
+        the owner never replays.  While the owner is down its graphs
+        answer ``unavailable``; the survivor's graphs keep serving.
+        """
+        import signal
+        import time
+
+        from repro.cluster import ClusterRouter, WorkerUnavailable
+
+        graph = {"graph": "barth", "scale": "tiny", "seed": 0}
+        router = ClusterRouter(
+            2,
+            compute_threads=1,
+            cache_mb=16.0,
+            heartbeat_interval=0.2,
+            restart=False,
+            wal_dir=str(tmp_path / "wal"),
+        ).start()
+        try:
+            for i in range(3):
+                up = router.update(
+                    {**graph, "inserts": [[0, 10 + 2 * i], [1, 11 + 2 * i]]}
+                )
+                assert up["epoch"] == i + 1
+            owner = router.owner_of("barth", "tiny", 0)
+            other_seed = next(
+                seed for seed in range(1, 64)
+                if router.owner_of("barth", "tiny", seed) != owner
+            )
+            os.kill(router._workers[owner].process.pid, signal.SIGKILL)
+            deadline = time.monotonic() + 30
+            while router.alive_workers != 1:
+                assert time.monotonic() < deadline, "death never noticed"
+                time.sleep(0.05)
+            assert router.healthz() == {"status": "ok", "workers": 1}
+            with pytest.raises(WorkerUnavailable):
+                router.update({**graph, "inserts": [[0, 16], [1, 17]]})
+            with pytest.raises(WorkerUnavailable):
+                router.layout({**graph, "s": 6, "include_coords": False})
+            survivor = router.layout(
+                {**graph, "seed": other_seed, "s": 6, "include_coords": False}
+            )
+            assert survivor["quality_tier"] == "full"
+            assert "resharded" not in survivor
+
+            # Once the owner is back it holds all three updates.
+            router.restart = True
+            deadline = time.monotonic() + 60
+            while router.alive_workers < 2:
+                assert time.monotonic() < deadline, "owner never respawned"
+                time.sleep(0.1)
+            up = router.update({**graph, "inserts": [[0, 16], [1, 17]]})
+            assert up["epoch"] == 4
+        finally:
+            router.close()
